@@ -1,0 +1,7 @@
+//go:build linux
+
+package main
+
+import "syscall"
+
+const sysSendmmsg = syscall.SYS_SENDMMSG
