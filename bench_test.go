@@ -376,7 +376,7 @@ func BenchmarkReadParallel(b *testing.B) {
 			for pb.Next() {
 				i++
 				mu.Lock()
-				sink += s.AbsoluteTime(T + i)
+				sink += s.Readout().AbsoluteTime(T + i)
 				mu.Unlock()
 			}
 			_ = sink

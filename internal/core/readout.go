@@ -68,7 +68,6 @@ func (r *Readout) ClockAt(T uint64) float64 { return float64(T)*r.P + r.K }
 
 // ThetaAt extrapolates the offset estimate to counter value T, using
 // the local rate linear prediction when it is valid (equation 23).
-// This mirrors Sync.ThetaAt exactly.
 //
 //repro:readpath
 func (r *Readout) ThetaAt(T uint64) float64 {

@@ -8,11 +8,11 @@ import (
 	"repro/internal/timebase"
 )
 
-// TestReadoutEquivalence pins the tentpole contract of the published
-// read path: every read the engine answers directly (the pre-refactor
-// mutex path of the public wrappers) must be answered bit-identically
-// by the latest published Readout, after every packet, including
-// local-rate prediction, identity re-bases, and warmup.
+// TestReadoutEquivalence pins the publication contract of the read
+// path: after every packet — including local-rate prediction, identity
+// re-bases, and warmup — the latest published Readout carries exactly
+// the state the packet's Result reports, and a re-base republishes the
+// new minimum-RTT estimate.
 func TestReadoutEquivalence(t *testing.T) {
 	for _, local := range []bool{false, true} {
 		cfg := DefaultConfig(2e-9, 16)
@@ -30,15 +30,17 @@ func TestReadoutEquivalence(t *testing.T) {
 		if r.Count != 0 || r.HaveTheta || r.P != cfg.PHatInit {
 			t.Fatalf("initial readout = %+v", r)
 		}
-		if got, want := r.AbsoluteTime(12345), s.AbsoluteTime(12345); got != want {
-			t.Fatalf("initial AbsoluteTime: readout %v, engine %v", got, want)
+		if got, want := r.AbsoluteTime(12345), r.ClockAt(12345); got != want {
+			t.Fatalf("initial AbsoluteTime %v, want the uncorrected clock %v", got, want)
 		}
 
 		ins := SynthTrace(3000)
 		for i, in := range ins {
-			if _, err := s.Process(in); err != nil {
+			res, err := s.Process(in)
+			if err != nil {
 				t.Fatal(err)
 			}
+			requirePublished(t, i, s.Readout(), res, in)
 			if i%5 == 0 {
 				// Exercise the identity path too: a change at i==1500
 				// re-bases the RTT filter and must republish.
@@ -47,44 +49,45 @@ func TestReadoutEquivalence(t *testing.T) {
 					id.RefID = 0xc0a80202
 				}
 				s.ObserveIdentity(id)
-			}
-			r := s.Readout()
-			if r.Count != s.Count() {
-				t.Fatalf("packet %d: readout count %d, engine %d", i, r.Count, s.Count())
-			}
-			if r.RTTHat != s.RTTHat() {
-				t.Fatalf("packet %d: readout r̂ %v, engine %v", i, r.RTTHat, s.RTTHat())
-			}
-			if th, ok := s.Theta(); r.Theta != th || r.HaveTheta != ok {
-				t.Fatalf("packet %d: readout θ̂ (%v,%v), engine (%v,%v)", i, r.Theta, r.HaveTheta, th, ok)
-			}
-			p, c := s.Clock()
-			if r.P != p || r.K != c {
-				t.Fatalf("packet %d: readout clock (%v,%v), engine (%v,%v)", i, r.P, r.K, p, c)
-			}
-			for _, T := range []uint64{in.Tf, in.Tf + 1, in.Tf + uint64(100/r.P)} {
-				if got, want := r.AbsoluteTime(T), s.AbsoluteTime(T); got != want {
-					t.Fatalf("packet %d: AbsoluteTime(%d): readout %v, engine %v", i, T, got, want)
+				if r := s.Readout(); r.RTTHat != s.rHat || r.Ident != id {
+					t.Fatalf("packet %d: after identity, readout (r̂ %v, %+v), engine (%v, %+v)", i, r.RTTHat, r.Ident, s.rHat, id)
 				}
-				if got, want := r.ThetaAt(T), s.ThetaAt(T); got != want {
-					t.Fatalf("packet %d: ThetaAt(%d): readout %v, engine %v", i, T, got, want)
-				}
-			}
-			if got, want := r.DifferenceSpan(in.Ta, in.Tf), s.DifferenceSpan(in.Ta, in.Tf); got != want {
-				t.Fatalf("packet %d: DifferenceSpan: readout %v, engine %v", i, got, want)
-			}
-			if r.LastTf != in.Tf {
-				t.Fatalf("packet %d: staleness anchor %d, want %d", i, r.LastTf, in.Tf)
 			}
 		}
+	}
+}
+
+// requirePublished fails unless r carries the engine state that
+// Process reported in res for input in.
+func requirePublished(t *testing.T, i int, r *Readout, res Result, in Input) {
+	t.Helper()
+	if r.Count != res.Seq+1 {
+		t.Fatalf("packet %d: readout count %d, want %d", i, r.Count, res.Seq+1)
+	}
+	if r.P != res.ClockP || r.K != res.ClockC {
+		t.Fatalf("packet %d: readout clock (%v,%v), result (%v,%v)", i, r.P, r.K, res.ClockP, res.ClockC)
+	}
+	if !r.HaveTheta || r.Theta != res.ThetaHat {
+		t.Fatalf("packet %d: readout θ̂ (%v,%v), result %v", i, r.Theta, r.HaveTheta, res.ThetaHat)
+	}
+	if r.RTTHat != res.RTTHat || r.PQuality != res.PQuality {
+		t.Fatalf("packet %d: readout (r̂ %v, quality %v), result (%v, %v)", i, r.RTTHat, r.PQuality, res.RTTHat, res.PQuality)
+	}
+	if r.PLocal != res.PLocal || r.PLocalValid != res.PLocalValid {
+		t.Fatalf("packet %d: readout local rate (%v,%v), result (%v,%v)", i, r.PLocal, r.PLocalValid, res.PLocal, res.PLocalValid)
+	}
+	if r.Warmup != res.Warmup {
+		t.Fatalf("packet %d: readout warmup %v, result %v", i, r.Warmup, res.Warmup)
+	}
+	if r.LastTf != in.Tf {
+		t.Fatalf("packet %d: staleness anchor %d, want %d", i, r.LastTf, in.Tf)
 	}
 }
 
 // TestReadoutEquivalenceSimScenarios runs the golden sim scenarios'
 // shapes — steady state, an upward level shift, and the local-rate
 // refinement — and checks after every packet that the published
-// readout reads are identical to the engine's direct reads (the
-// pre-refactor mutex path evaluated exactly these).
+// readout carries the state the packet's Result reports.
 func TestReadoutEquivalenceSimScenarios(t *testing.T) {
 	scenarios := map[string]func() sim.Scenario{
 		"steady": func() sim.Scenario {
@@ -110,22 +113,12 @@ func TestReadoutEquivalenceSimScenarios(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, e := range tr.Completed() {
-					if _, err := s.Process(Input{Ta: e.Ta, Tf: e.Tf, Tb: e.Tb, Te: e.Te}); err != nil {
+					in := Input{Ta: e.Ta, Tf: e.Tf, Tb: e.Tb, Te: e.Te}
+					res, err := s.Process(in)
+					if err != nil {
 						t.Fatal(err)
 					}
-					r := s.Readout()
-					for _, T := range []uint64{e.Tf, e.Tf + uint64(8/r.P)} {
-						if got, want := r.AbsoluteTime(T), s.AbsoluteTime(T); got != want {
-							t.Fatalf("packet %d: AbsoluteTime(%d): readout %v, engine %v", i, T, got, want)
-						}
-					}
-					if got, want := r.DifferenceSpan(e.Ta, e.Tf), s.DifferenceSpan(e.Ta, e.Tf); got != want {
-						t.Fatalf("packet %d: DifferenceSpan: readout %v, engine %v", i, got, want)
-					}
-					if r.RTTHat != s.RTTHat() || r.Count != s.Count() {
-						t.Fatalf("packet %d: readout (r̂ %v, n %d) vs engine (%v, %d)",
-							i, r.RTTHat, r.Count, s.RTTHat(), s.Count())
-					}
+					requirePublished(t, i, s.Readout(), res, in)
 				}
 			})
 		}

@@ -71,7 +71,7 @@ func TestObserveIdentityRebasesMinimum(t *testing.T) {
 	// Old server: 400 µs minimum.
 	feedSteady(t, s, src, 200, 400e-6, &counter, &serverT)
 	s.ObserveIdentity(Identity{RefID: 1, Stratum: 1})
-	oldRHat := s.RTTHat()
+	oldRHat := s.Readout().RTTHat
 	if oldRHat > 450e-6 {
 		t.Fatalf("old r̂ = %v", oldRHat)
 	}
@@ -82,17 +82,17 @@ func TestObserveIdentityRebasesMinimum(t *testing.T) {
 	if !s.ObserveIdentity(Identity{RefID: 2, Stratum: 1}) {
 		t.Fatal("server change not detected")
 	}
-	if got := s.RTTHat(); got < 850e-6 {
+	if got := s.Readout().RTTHat; got < 850e-6 {
 		t.Errorf("r̂ = %v after server change, want re-based to ~900µs", got)
 	}
 
 	// Estimation continues normally against the new server.
 	feedSteady(t, s, src, 100, 900e-6, &counter, &serverT)
-	if got := s.RTTHat(); got < 850e-6 || got > 950e-6 {
+	if got := s.Readout().RTTHat; got < 850e-6 || got > 950e-6 {
 		t.Errorf("r̂ = %v tracking new server", got)
 	}
 	// The rate estimate must have survived the change.
-	p, _ := s.Clock()
+	p := s.Readout().P
 	if rel := p/2e-9 - 1; rel > 1e-5 || rel < -1e-5 {
 		t.Errorf("rate estimate %v disturbed by server change", p)
 	}

@@ -89,7 +89,8 @@ type record struct {
 // Sync is the synchronization engine. Feed it completed exchanges in
 // arrival order with Process; lost packets are simply never fed
 // (Section 6.1: "any lost packets are simply excluded from the
-// analysis"). Sync is not safe for concurrent use.
+// analysis"). Sync is not safe for concurrent use. Clock reads go
+// through the published Readout, which is.
 //
 // Every per-packet operation is amortized O(1) in the window sizes:
 // history lives in a ring buffer that slides without copying, and the
@@ -188,46 +189,8 @@ func NewSync(cfg Config) (*Sync, error) {
 // Config returns the engine's configuration.
 func (s *Sync) Config() Config { return s.cfg }
 
-// Clock returns the current uncorrected clock definition
-// C(T) = p·T + c.
-func (s *Sync) Clock() (p, c float64) { return s.p, s.c }
-
 // clockRead evaluates the uncorrected clock at counter value T.
 func (s *Sync) clockRead(T uint64) float64 { return float64(T)*s.p + s.c }
-
-// Theta returns the most recent offset estimate and whether one exists.
-func (s *Sync) Theta() (float64, bool) { return s.theta, s.haveTh }
-
-// ThetaAt extrapolates the offset estimate to counter value T, using the
-// local rate linear prediction when it is valid (equation 23).
-func (s *Sync) ThetaAt(T uint64) float64 {
-	if !s.haveTh {
-		return 0
-	}
-	if s.cfg.UseLocalRate && s.plValid && s.p > 0 {
-		gl := s.pl/s.p - 1
-		return s.theta - gl*spanSeconds(s.thetaTf, T, s.p)
-	}
-	return s.theta
-}
-
-// AbsoluteTime reads the absolute (offset-corrected) clock
-// Ca(T) = C(T) − θ̂ at counter value T (equation 7).
-func (s *Sync) AbsoluteTime(T uint64) float64 {
-	return s.clockRead(T) - s.ThetaAt(T)
-}
-
-// DifferenceSpan measures the interval between two counter readings with
-// the difference clock Cd (equation 6): smooth, driven only by p̂.
-func (s *Sync) DifferenceSpan(T1, T2 uint64) float64 {
-	return spanSeconds(T1, T2, s.p)
-}
-
-// RTTHat returns the current minimum-RTT estimate r̂.
-func (s *Sync) RTTHat() float64 { return s.rHat }
-
-// Count returns the number of packets processed.
-func (s *Sync) Count() int { return s.count }
 
 // spanSeconds converts a counter span to seconds, preserving sign.
 func spanSeconds(from, to uint64, p float64) float64 {

@@ -77,12 +77,3 @@ func (e *Ensemble) updateAsymCorrection() {
 		}
 	}
 }
-
-// appliedCorrection returns the correction the combine paths subtract
-// from server k's absolute clock: always zero while the feature is
-// disabled, so the corrected and uncorrected combiners are bit-identical
-// in that case (x − 0 is the identity for every float, including ±0 and
-// NaN).
-func (e *Ensemble) appliedCorrection(k int) float64 {
-	return e.members[k].corr
-}

@@ -28,7 +28,7 @@ func asymEnsemble(t *testing.T, n int, mod func(*Config)) *Ensemble {
 
 // corrOf returns the per-server applied corrections.
 func corrOf(e *Ensemble) []float64 {
-	states := e.ServerStates()
+	states := e.Readout().ServerStates()
 	out := make([]float64, len(states))
 	for k, st := range states {
 		out[k] = st.AsymCorrection
@@ -65,6 +65,8 @@ func TestAsymCorrectionSignMatchesAsymmetry(t *testing.T) {
 		}
 		return 0
 	})
+	// The combined reads subtract the corrections being applied.
+	checkReadoutConsistent(t, e, uint64((last+1)/synthP))
 	corr := corrOf(e)
 	if !(corr[2] > 0) {
 		t.Errorf("late server correction %v, want > 0", corr[2])
@@ -77,17 +79,10 @@ func TestAsymCorrectionSignMatchesAsymmetry(t *testing.T) {
 	if corr[2] < bias/4 {
 		t.Errorf("late server correction %v did not converge (bias %v)", corr[2], bias)
 	}
-	for k, st := range e.ServerStates() {
+	for k, st := range e.Readout().ServerStates() {
 		if !st.Selected {
 			t.Errorf("server %d evicted: the bias was meant to stay within the selection bound", k)
 		}
-	}
-
-	// The lock-free readout combine must agree bitwise with the
-	// writer-side combine while corrections are applied.
-	T := uint64((last + 1) / synthP)
-	if w, r := e.AbsoluteTime(T), e.Readout().AbsoluteTime(T); w != r {
-		t.Errorf("writer %v vs readout %v combined time with corrections applied", w, r)
 	}
 }
 
@@ -103,7 +98,7 @@ func TestAsymCorrectionBoundedByClamp(t *testing.T) {
 		}
 		return 0
 	})
-	states := e.ServerStates()
+	states := e.Readout().ServerStates()
 	for k, st := range states {
 		noise := st.ErrScale - st.Penalty
 		clamp := clampFrac * e.cfg.AgreementFactor * noise
@@ -157,15 +152,15 @@ func TestAsymCorrectionDisabledBitIdentical(t *testing.T) {
 	}
 	for i := 0; i < 8; i++ {
 		T := uint64((last+float64(i))/synthP) + uint64(i)
-		b, d, en := base.AbsoluteTime(T), disabled.AbsoluteTime(T), enabled.AbsoluteTime(T)
+		b, d, en := base.Readout().AbsoluteTime(T), disabled.Readout().AbsoluteTime(T), enabled.Readout().AbsoluteTime(T)
 		if b != d {
 			t.Fatalf("T=%d: disabled combiner %v differs from baseline %v", T, d, b)
 		}
-		if rb, rd := base.Readout().AbsoluteTime(T), disabled.Readout().AbsoluteTime(T); rb != rd {
-			t.Fatalf("T=%d: disabled readout %v differs from baseline readout %v", T, rd, rb)
+		if ab, ad := base.Readout().Agreement(T), disabled.Readout().Agreement(T); ab != ad {
+			t.Fatalf("T=%d: disabled agreement %d differs from baseline %d", T, ad, ab)
 		}
-		if sb, sd := base.TakeSnapshot(T).AbsoluteTime, disabled.TakeSnapshot(T).AbsoluteTime; sb != sd {
-			t.Fatalf("T=%d: disabled snapshot %v differs from baseline snapshot %v", T, sd, sb)
+		if rb, rd := base.Readout().Rate, disabled.Readout().Rate; rb != rd {
+			t.Fatalf("disabled combined rate %v differs from baseline %v", rd, rb)
 		}
 		if i == 0 && b == en {
 			t.Errorf("enabled combiner bit-identical to baseline on a biased feed: harness has no teeth")
@@ -184,7 +179,7 @@ func TestAsymCorrectionZeroWhileUnselected(t *testing.T) {
 		}
 		return 0
 	})
-	states := e.ServerStates()
+	states := e.Readout().ServerStates()
 	if !states[2].Falseticker {
 		t.Fatalf("biased server not flagged: %+v", states[2])
 	}
@@ -225,7 +220,7 @@ func TestAsymCorrectionZeroInPenalty(t *testing.T) {
 		t.Fatal("identity change not detected")
 	}
 	feed(t, e, 2, last+16, 60e-6)
-	st := e.ServerStates()[2]
+	st := e.Readout().ServerStates()[2]
 	if st.Penalty == 0 {
 		t.Fatal("identity change added no penalty")
 	}

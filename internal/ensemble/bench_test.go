@@ -40,7 +40,7 @@ func BenchmarkEnsemble(b *testing.B) {
 				}
 				// One combined read per pass keeps the combiner honest
 				// without dominating the per-packet measurement.
-				sink += e.AbsoluteTime(ins[n-1].Tf + 1000)
+				sink += e.Readout().AbsoluteTime(ins[n-1].Tf + 1000)
 			}
 			_ = sink
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/packet")
@@ -74,7 +74,7 @@ func BenchmarkEnsemble(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				sink += e.AbsoluteTime(ins[n-1].Tf + 1000)
+				sink += e.Readout().AbsoluteTime(ins[n-1].Tf + 1000)
 			}
 			_ = sink
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/packet")
@@ -102,12 +102,13 @@ func BenchmarkEnsembleSelect(b *testing.B) {
 	}
 }
 
-// BenchmarkEnsembleRead measures the read path — combined absolute
-// time, combined rate, and a full snapshot over N engines (weighted
-// median over the selected set, O(N log N) in the server count, which
-// is small by construction). Every variant must report 0 allocs/op:
-// the read path runs entirely on scratch buffers (TestReadPathZeroAlloc
-// pins the same contract as a hard test).
+// BenchmarkEnsembleRead measures the lock-free read path over N
+// engines: the combined absolute time (weighted median over the
+// selected set, O(N log N) in the server count, which is small by
+// construction) and the agreement count built on it. Every variant
+// must report 0 allocs/op: the reads run on stack scratch
+// (TestEnsembleReadoutZeroAllocRead pins the same contract as a hard
+// test).
 func BenchmarkEnsembleRead(b *testing.B) {
 	for _, servers := range []int{3, 8} {
 		e := calibrated(b, servers)
@@ -116,23 +117,15 @@ func BenchmarkEnsembleRead(b *testing.B) {
 			var sink float64
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sink += e.AbsoluteTime(T + uint64(i))
+				sink += e.Readout().AbsoluteTime(T + uint64(i))
 			}
 			_ = sink
 		})
-		b.Run(fmt.Sprintf("RateHat/servers=%d", servers), func(b *testing.B) {
-			var sink float64
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sink += e.RateHat()
-			}
-			_ = sink
-		})
-		b.Run(fmt.Sprintf("TakeSnapshot/servers=%d", servers), func(b *testing.B) {
+		b.Run(fmt.Sprintf("Agreement/servers=%d", servers), func(b *testing.B) {
 			var sink int
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sink += e.TakeSnapshot(T + uint64(i)).Agreement
+				sink += e.Readout().Agreement(T + uint64(i))
 			}
 			_ = sink
 		})

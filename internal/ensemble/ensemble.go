@@ -53,8 +53,8 @@
 // The per-packet cost is one engine Process, O(1) scoring, and one
 // O(N log N) selection sweep over the N per-server intervals (N is the
 // server count — single digits — so the sweep is tens of nanoseconds);
-// the combination itself is evaluated at read time over the per-server
-// estimates with zero allocations (see BenchmarkEnsemble).
+// the combination itself is evaluated at read time, from the published
+// Readout, with zero allocations (see BenchmarkEnsembleRead).
 //
 //repro:deterministic
 package ensemble
@@ -251,7 +251,7 @@ type member struct {
 
 	// Asymmetry correction (see asym.go): corrEwma is the damped
 	// tracker of the asymmetry hint, corr the clamped correction the
-	// combine paths actually subtract (zero while the gate is closed).
+	// published combine subtracts (zero while the gate is closed).
 	corrEwma float64
 	corr     float64
 }
@@ -317,26 +317,20 @@ type endpoint struct {
 // Ensemble runs one synchronization engine per upstream server over a
 // shared host counter and combines their clocks. It is not safe for
 // concurrent use; the public tscclock.Ensemble wrapper adds locking.
-// Read results that are slices (Snapshot fields) are backed by internal
-// scratch buffers reused across calls — copy them to retain them past
-// the next call.
+// Every combined read goes through the published Readout, which is
+// safe from any goroutine.
 type Ensemble struct {
 	cfg     Config
 	engines []*core.Sync
 	members []member
 
-	// Scratch buffers for the zero-allocation read and sweep paths (the
-	// type is single-threaded by contract, so one set suffices).
-	vals   []float64  // per-server absolute times
-	rates  []float64  // per-server rates
+	// Scratch buffers for the zero-allocation sweep and publish paths
+	// (the type is single-threaded by contract, so one set suffices).
 	ws     []float64  // per-server weights
-	items  []wv       // weighted-median sort scratch
 	eps    []endpoint // selection sweep endpoints
 	lo     []float64  // per-server interval lower bounds
 	hi     []float64  // per-server interval upper bounds
 	widths []float64  // interval-width sort scratch (sweep voter filter)
-	sel    []bool     // Snapshot.Selected backing
-	hint   []float64  // Snapshot.AsymmetryHint backing
 
 	// Degradation ladder state (see ladder.go): the writer-side rung,
 	// the recovery hysteresis streak, whether the combine was ever
@@ -367,16 +361,11 @@ func New(cfg Config) (*Ensemble, error) {
 		cfg:     cfg,
 		engines: make([]*core.Sync, n),
 		members: make([]member, n),
-		vals:    make([]float64, n),
-		rates:   make([]float64, n),
 		ws:      make([]float64, n),
-		items:   make([]wv, 0, n),
 		eps:     make([]endpoint, 0, 2*n),
 		lo:      make([]float64, n),
 		hi:      make([]float64, n),
 		widths:  make([]float64, 0, n),
-		sel:     make([]bool, n),
-		hint:    make([]float64, n),
 		voting:  make([]bool, n),
 	}
 	for i, ec := range cfg.Engines {
@@ -393,9 +382,6 @@ func New(cfg Config) (*Ensemble, error) {
 
 // Size returns the number of servers (engines).
 func (e *Ensemble) Size() int { return len(e.engines) }
-
-// Engine returns server k's engine, for per-server inspection.
-func (e *Ensemble) Engine(k int) *core.Sync { return e.engines[k] }
 
 // Process feeds one completed exchange with server k to that server's
 // engine, updates the server's trust state, and runs one selection
@@ -558,7 +544,7 @@ func (e *Ensemble) updateSelection(T uint64) {
 		if !m.ready {
 			continue
 		}
-		c := e.engines[k].AbsoluteTime(T)
+		c := e.engines[k].Readout().AbsoluteTime(T)
 		bound := e.cfg.AgreementFactor * m.noiseScale()
 		e.lo[k] = c - bound
 		e.hi[k] = c + bound
@@ -773,240 +759,19 @@ func (e *Ensemble) rawWeights() []float64 {
 	return ws
 }
 
-// Weights returns the current per-server combining weights, normalized
-// to sum to 1 (all zeros before any exchange). The returned slice is
-// freshly allocated.
-func (e *Ensemble) Weights() []float64 {
-	ws := make([]float64, len(e.members))
-	copy(ws, e.rawWeights())
-	normalize(ws)
-	return ws
-}
-
-// normalize scales ws to sum to 1 in place (no-op when the sum is 0).
-func normalize(ws []float64) {
-	total := 0.0
-	for _, w := range ws {
-		total += w
-	}
-	if total > 0 {
-		for k := range ws {
-			ws[k] /= total
-		}
-	}
-}
-
-// ServerState is the diagnostic view of one server's trust and
-// selection state.
-type ServerState struct {
-	Exchanges     int     // exchanges processed
-	Ready         bool    // past warmup
-	Weight        float64 // normalized combining weight
-	ErrScale      float64 // error scale (s) behind the weight
-	PointErrLevel float64 // EWMA of the point error (s)
-	RTTWobble     float64 // EWMA of |Δr̂| (s)
-	Penalty       float64 // current decaying event penalty (s)
-
-	// Selected reports membership in the selected (truechimer) set;
-	// Falseticker is a ready server currently voted out by the
-	// interval-intersection stage. IntersectStreak counts consecutive
-	// sweeps intersecting the majority (a flagged server re-enters at
-	// ReadmitAfter). AsymmetryHint is the signed disagreement of this
-	// server's absolute clock against the selected-set midpoint (s) —
-	// an estimate of path-asymmetry error no single path can observe.
-	Selected        bool
-	Falseticker     bool
-	IntersectStreak int
-	AsymmetryHint   float64
-
-	// AsymCorrection is the damped, clamped asymmetry correction (s)
-	// currently subtracted from this server's absolute clock in the
-	// combining median (see asym.go); zero unless Config.AsymCorrection
-	// is on and the server is selected and unpenalized.
-	AsymCorrection float64
-}
-
-// ServerStates returns the diagnostic view of every server.
-func (e *Ensemble) ServerStates() []ServerState {
-	ws := e.Weights()
-	out := make([]ServerState, len(e.members))
-	for k := range e.members {
-		m := &e.members[k]
-		out[k] = ServerState{
-			Exchanges:       m.count,
-			Ready:           m.ready,
-			Weight:          ws[k],
-			ErrScale:        m.errScale(),
-			PointErrLevel:   m.ewmaErr,
-			RTTWobble:       m.rttWobble,
-			Penalty:         m.penalty,
-			Selected:        m.ready && m.selected,
-			Falseticker:     m.ready && !m.selected && !e.cfg.DisableSelection,
-			IntersectStreak: m.streak,
-			AsymmetryHint:   m.asym,
-			AsymCorrection:  m.corr,
-		}
-	}
-	return out
-}
-
-// AbsoluteTime reads the combined absolute clock at a counter value:
-// the weighted median of the selected servers' absolute clocks. With
-// three or more comparable servers, a faulty minority — even one whose
-// members agree with each other — is excluded by the selection stage
-// and outvoted by the median.
-func (e *Ensemble) AbsoluteTime(T uint64) float64 {
-	for k, s := range e.engines {
-		e.vals[k] = s.AbsoluteTime(T) - e.appliedCorrection(k)
-	}
-	return weightedMedianBuf(e.vals, e.rawWeights(), e.items)
-}
-
-// RateHat returns the combined rate estimate (seconds per counter
-// cycle): the weighted median of the selected servers' p̂ — frozen at
-// the last trusted combine while the ladder sits below DEGRADED
-// (coasting on a live median of unfit servers would defeat holdover).
-func (e *Ensemble) RateHat() float64 {
-	if e.frozenActive() {
-		return e.frozenRate
-	}
-	for k, s := range e.engines {
-		e.rates[k], _ = s.Clock()
-	}
-	return weightedMedianBuf(e.rates, e.rawWeights(), e.items)
-}
-
-// DifferenceSpan measures the interval between two counter readings
-// with the combined difference clock (combined rate only).
-func (e *Ensemble) DifferenceSpan(T1, T2 uint64) float64 {
-	p := e.RateHat()
-	if T2 >= T1 {
-		return float64(T2-T1) * p
-	}
-	return -float64(T1-T2) * p
-}
-
-// Agreement counts the servers whose error interval — the per-server
-// absolute time ± AgreementFactor·errScale, Marzullo-style — contains
-// the combined absolute time at counter value T. len(servers) means
-// full agreement; below a majority means the ensemble is running on a
-// minority of self-consistent servers and should be treated with
-// suspicion.
-func (e *Ensemble) Agreement(T uint64) int {
-	return e.TakeSnapshot(T).Agreement
-}
-
-// Snapshot is the combined state at one counter value, computed with a
-// single weight evaluation (the per-exchange status path uses it so
-// the combiner runs once per exchange, not once per reported field).
-// The slice fields are backed by scratch buffers owned by the ensemble
-// and are overwritten by the next call — copy them to retain them.
-type Snapshot struct {
-	Weights      []float64 // normalized per-server combining weights
-	Rate         float64   // combined rate estimate (s/cycle)
-	AbsoluteTime float64   // combined absolute clock at T (s)
-	Agreement    int       // servers whose interval contains AbsoluteTime
-
-	// Selected marks the truechimer set: ready servers whose
-	// correctness intervals intersect the majority. Falsetickers counts
-	// ready servers currently voted out. AsymmetryHint is each server's
-	// signed absolute-clock disagreement against the selected-set
-	// midpoint (s), a per-path asymmetry-error estimate; zero for
-	// servers still in warmup.
-	Selected      []bool
-	Falsetickers  int
-	AsymmetryHint []float64
-}
-
-// TakeSnapshot evaluates the combiner once at counter value T. The
-// normalized weights serve the medians directly — weightedMedian is
-// invariant under uniform weight scaling.
-func (e *Ensemble) TakeSnapshot(T uint64) Snapshot {
-	ws := e.rawWeights()
-	normalize(ws)
-	for k, s := range e.engines {
-		e.vals[k] = s.AbsoluteTime(T) - e.appliedCorrection(k)
-		e.rates[k], _ = s.Clock()
-	}
-	snap := Snapshot{
-		Weights:       ws,
-		Rate:          weightedMedianBuf(e.rates, ws, e.items),
-		AbsoluteTime:  weightedMedianBuf(e.vals, ws, e.items),
-		Selected:      e.sel,
-		AsymmetryHint: e.hint,
-	}
-	if e.frozenActive() {
-		snap.Rate = e.frozenRate
-	}
-	for k := range e.members {
-		m := &e.members[k]
-		e.sel[k] = m.ready && m.selected
-		e.hint[k] = m.asym
-		if m.ready && !m.selected && !e.cfg.DisableSelection {
-			snap.Falsetickers++
-		}
-		if m.count == 0 {
-			continue
-		}
-		bound := e.cfg.AgreementFactor * m.errScale()
-		if math.Abs(e.vals[k]-snap.AbsoluteTime) <= bound {
-			snap.Agreement++
-		}
-	}
-	return snap
-}
-
-// Exchanges returns the total number of exchanges processed across all
-// servers.
-func (e *Ensemble) Exchanges() int {
-	n := 0
-	for k := range e.members {
-		n += e.members[k].count
-	}
-	return n
-}
-
 // wv is one (value, weight) pair of the weighted-median scratch.
 type wv struct{ v, w float64 }
 
-// weightedMedian returns the weighted median of vals: the value at
-// which the cumulative weight reaches half the total. When the boundary
-// is hit exactly — as with two equally weighted servers — the two
-// straddling values are averaged, so the combined clock lands between
-// them instead of on whichever reads earlier. Zero-weight entries are
-// ignored; with no positive weight the first value is returned (the
-// caller's fallback guarantees this only happens before any exchange).
-// The breakdown point is 1/2: entries holding less than half the total
-// weight cannot move the result beyond the others' values.
-func weightedMedian(vals, ws []float64) float64 {
-	return weightedMedianBuf(vals, ws, nil)
-}
-
-// weightedMedianBuf is weightedMedian with a caller-provided scratch
-// buffer (content ignored, capacity reused) for allocation-free reads.
-func weightedMedianBuf(vals, ws []float64, buf []wv) float64 {
-	items := buf[:0]
-	total := 0.0
-	for k := range vals {
-		if ws[k] > 0 {
-			items = append(items, wv{vals[k], ws[k]})
-			total += ws[k]
-		}
-	}
-	if len(items) == 0 {
-		if len(vals) == 0 {
-			return 0
-		}
-		return vals[0]
-	}
-	return medianOfItems(items, total)
-}
-
-// medianOfItems is the shared median walk over positive-weight items:
-// the single algorithm behind both the writer-side scratch-buffer reads
-// and the lock-free readout reads, so the two paths agree bitwise on
-// identical inputs. items must be non-empty with positive weights
-// summing to total; it is sorted in place.
+// medianOfItems returns the weighted median of positive-weight items:
+// the value at which the cumulative weight reaches half the total. When
+// the boundary is hit exactly — as with two equally weighted servers —
+// the two straddling values are averaged, so the combined clock lands
+// between them instead of on whichever reads earlier. The breakdown
+// point is 1/2: items holding less than half the total weight cannot
+// move the result beyond the others' values. It is the one median
+// behind every combined read (absolute time and rate). items must be
+// non-empty with positive weights summing to total; it is sorted in
+// place.
 func medianOfItems(items []wv, total float64) float64 {
 	//repro:alloc-ok slices.SortFunc does not retain the comparison closure, so it stays on the stack (generic, no interface boxing)
 	slices.SortFunc(items, func(a, b wv) int {

@@ -8,6 +8,17 @@ import (
 	"repro/internal/rng"
 )
 
+// weightedMedian evaluates the combining median through the readout's
+// read path: one server per value, each a constant clock reading
+// vals[k] with combining weight ws[k].
+func weightedMedian(vals, ws []float64) float64 {
+	r := &Readout{Servers: make([]ServerReadout, len(vals))}
+	for k := range vals {
+		r.Servers[k] = ServerReadout{Clock: &core.Readout{K: vals[k]}, Weight: ws[k]}
+	}
+	return r.AbsoluteTime(0)
+}
+
 func TestWeightedMedian(t *testing.T) {
 	cases := []struct {
 		name string
@@ -138,15 +149,15 @@ func TestFaultyServerOutvoted(t *testing.T) {
 
 	T := uint64((last + 1) / synthP)
 	truth := last + 1
-	combined := e.AbsoluteTime(T) - truth
-	faulty := e.Engine(2).AbsoluteTime(T) - truth
+	combined := e.Readout().AbsoluteTime(T) - truth
+	faulty := e.Readout().Servers[2].Clock.AbsoluteTime(T) - truth
 	if math.Abs(faulty) < fault/2 {
 		t.Fatalf("faulty engine error %v; expected ≈ %v — harness lost its teeth", faulty, fault)
 	}
 	if math.Abs(combined) > 1e-3*fault+100e-6 {
 		t.Errorf("combined clock error %v: the faulty server was not outvoted", combined)
 	}
-	if ag := e.Agreement(T); ag != 2 {
+	if ag := e.Readout().Agreement(T); ag != 2 {
 		t.Errorf("Agreement = %d, want 2 (faulty server outside its interval)", ag)
 	}
 }
@@ -162,7 +173,7 @@ func TestMidRunFaultPenalized(t *testing.T) {
 		}
 		return 0
 	})
-	ws := e.Weights()
+	ws := e.Readout().Weights()
 	if !(ws[2] < ws[0] && ws[2] < ws[1]) {
 		t.Errorf("faulty server weight %v not below good servers %v, %v", ws[2], ws[0], ws[1])
 	}
@@ -176,16 +187,16 @@ func TestMidRunFaultPenalized(t *testing.T) {
 // data share weight equally so the combined clock exists immediately.
 func TestWarmupWeights(t *testing.T) {
 	e := mustEnsemble(t, 3)
-	if ws := e.Weights(); ws[0] != 0 || ws[1] != 0 || ws[2] != 0 {
+	if ws := e.Readout().Weights(); ws[0] != 0 || ws[1] != 0 || ws[2] != 0 {
 		t.Errorf("weights before any exchange = %v, want zeros", ws)
 	}
 	feed(t, e, 0, 1, 0)
 	feed(t, e, 1, 6, 0)
-	ws := e.Weights()
+	ws := e.Readout().Weights()
 	if ws[0] != 0.5 || ws[1] != 0.5 || ws[2] != 0 {
 		t.Errorf("warmup weights = %v, want [0.5 0.5 0]", ws)
 	}
-	if e.AbsoluteTime(uint64(7/synthP)) == 0 {
+	if e.Readout().AbsoluteTime(uint64(7/synthP)) == 0 {
 		t.Error("combined clock unreadable during warmup")
 	}
 }
@@ -195,14 +206,14 @@ func TestWarmupWeights(t *testing.T) {
 func TestRateCombination(t *testing.T) {
 	e := mustEnsemble(t, 3)
 	run(t, e, 80, func(_, _ int) float64 { return 0 })
-	if got := e.RateHat(); math.Abs(got/synthP-1) > 1e-6 {
+	if got := e.Readout().RateHat(); math.Abs(got/synthP-1) > 1e-6 {
 		t.Errorf("combined rate %v, want ≈ %v", got, synthP)
 	}
-	span := e.DifferenceSpan(0, uint64(1/synthP))
+	span := e.Readout().DifferenceSpan(0, uint64(1/synthP))
 	if math.Abs(span-1) > 1e-6 {
 		t.Errorf("DifferenceSpan over 1 s = %v", span)
 	}
-	if rev := e.DifferenceSpan(uint64(1/synthP), 0); math.Abs(rev+1) > 1e-6 {
+	if rev := e.Readout().DifferenceSpan(uint64(1/synthP), 0); math.Abs(rev+1) > 1e-6 {
 		t.Errorf("reverse DifferenceSpan = %v, want ≈ −1", rev)
 	}
 }
@@ -218,11 +229,11 @@ func TestObserveIdentityPenalty(t *testing.T) {
 	if _, err := e.ObserveIdentity(0, core.Identity{RefID: 1, Stratum: 1}); err != nil {
 		t.Fatal(err)
 	}
-	before := e.Weights()[0]
+	before := e.Readout().Weights()[0]
 	if changed, err := e.ObserveIdentity(0, core.Identity{RefID: 2, Stratum: 1}); err != nil || !changed {
 		t.Fatalf("identity change not detected (changed=%v, err=%v)", changed, err)
 	}
-	if after := e.Weights()[0]; !(after < before) {
+	if after := e.Readout().Weights()[0]; !(after < before) {
 		t.Errorf("weight after identity change %v, want < %v", after, before)
 	}
 }
@@ -232,7 +243,7 @@ func TestExchangesCount(t *testing.T) {
 	feed(t, e, 0, 1, 0)
 	feed(t, e, 1, 2, 0)
 	feed(t, e, 0, 17, 0)
-	if got := e.Exchanges(); got != 3 {
+	if got := e.Readout().Exchanges; got != 3 {
 		t.Errorf("Exchanges = %d, want 3", got)
 	}
 }
@@ -332,30 +343,30 @@ func TestColludingMinorityRejected(t *testing.T) {
 
 	T := uint64((last + 1) / synthP)
 	truth := last + 1
-	if err := e.AbsoluteTime(T) - truth; math.Abs(err) > 100e-6 {
+	if err := e.Readout().AbsoluteTime(T) - truth; math.Abs(err) > 100e-6 {
 		t.Errorf("combined clock error %v despite colluding pair at %v", err, fault)
 	}
-	snap := e.TakeSnapshot(T)
+	snap := e.Readout()
 	if snap.Falsetickers != 2 {
 		t.Errorf("Falsetickers = %d, want 2", snap.Falsetickers)
 	}
 	for k := 0; k < 5; k++ {
-		if snap.Selected[k] == bad(k) {
-			t.Errorf("Selected[%d] = %v, want %v", k, snap.Selected[k], !bad(k))
+		if snap.Servers[k].Selected == bad(k) {
+			t.Errorf("Selected[%d] = %v, want %v", k, snap.Servers[k].Selected, !bad(k))
 		}
 		// The asymmetry hint localizes the disagreement: colluders sit
 		// ~fault from the selected-set midpoint, truechimers near it.
-		if bad(k) && math.Abs(snap.AsymmetryHint[k]-fault) > fault/2 {
-			t.Errorf("AsymmetryHint[%d] = %v, want ≈ %v", k, snap.AsymmetryHint[k], fault)
+		if bad(k) && math.Abs(snap.Servers[k].AsymmetryHint-fault) > fault/2 {
+			t.Errorf("AsymmetryHint[%d] = %v, want ≈ %v", k, snap.Servers[k].AsymmetryHint, fault)
 		}
-		if !bad(k) && math.Abs(snap.AsymmetryHint[k]) > fault/10 {
-			t.Errorf("AsymmetryHint[%d] = %v, want ≈ 0", k, snap.AsymmetryHint[k])
+		if !bad(k) && math.Abs(snap.Servers[k].AsymmetryHint) > fault/10 {
+			t.Errorf("AsymmetryHint[%d] = %v, want ≈ 0", k, snap.Servers[k].AsymmetryHint)
 		}
 	}
-	states := e.ServerStates()
+	states := e.Readout().ServerStates()
 	for k := range states {
-		if states[k].Selected != snap.Selected[k] || states[k].Falseticker != !snap.Selected[k] {
-			t.Errorf("ServerStates[%d] selection view %+v disagrees with snapshot", k, states[k])
+		if states[k].Selected != snap.Servers[k].Selected || states[k].Falseticker != !snap.Servers[k].Selected {
+			t.Errorf("ServerStates[%d] selection view %+v disagrees with the readout", k, states[k])
 		}
 		if bad(k) && states[k].Weight != 0 {
 			t.Errorf("falseticker %d holds weight %v", k, states[k].Weight)
@@ -399,13 +410,13 @@ func TestSelectionDisabledFollowsWeight(t *testing.T) {
 	last := run(t, median, 100, faultOf)
 	truth := last + 1
 	T := uint64(truth / synthP)
-	if err := median.AbsoluteTime(T) - truth; math.Abs(err) < fault/2 {
+	if err := median.Readout().AbsoluteTime(T) - truth; math.Abs(err) < fault/2 {
 		t.Errorf("median-only error %v; expected the high-weight colluders to drag it ≈ %v", err, fault)
 	}
 
 	selecting := build(false)
 	run(t, selecting, 100, faultOf)
-	if err := selecting.AbsoluteTime(T) - truth; math.Abs(err) > 100e-6 {
+	if err := selecting.Readout().AbsoluteTime(T) - truth; math.Abs(err) > 100e-6 {
 		t.Errorf("selection-enabled error %v; the colluders' weight should not matter", err)
 	}
 }
@@ -439,7 +450,7 @@ func TestFalsetickerReadmissionHysteresis(t *testing.T) {
 			}
 			feed(t, e, k, now, o)
 		}
-		st := e.ServerStates()[2]
+		st := e.Readout().ServerStates()[2]
 		if i >= 60 && !st.Selected {
 			flagged = true
 		}
@@ -450,7 +461,7 @@ func TestFalsetickerReadmissionHysteresis(t *testing.T) {
 	if !flagged {
 		t.Fatal("faulty server was never deselected — harness lost its teeth")
 	}
-	st := e.ServerStates()[2]
+	st := e.Readout().ServerStates()[2]
 	if !st.Selected {
 		t.Errorf("healed server not re-admitted by round 300: %+v", st)
 	}
@@ -501,7 +512,7 @@ func TestBalloonedColluderStaysOut(t *testing.T) {
 		}
 		return 0
 	})
-	for k, st := range e.ServerStates() {
+	for k, st := range e.Readout().ServerStates() {
 		if st.Selected == bad(k) {
 			t.Fatalf("setup: ServerStates[%d].Selected = %v", k, st.Selected)
 		}
@@ -519,7 +530,7 @@ func TestBalloonedColluderStaysOut(t *testing.T) {
 				feed(t, e, k, now, 0)
 			}
 		}
-		for k, st := range e.ServerStates() {
+		for k, st := range e.Readout().ServerStates() {
 			if bad(k) && st.Selected {
 				t.Fatalf("round %d: ballooned colluder %d re-admitted", i, k)
 			}
@@ -543,7 +554,7 @@ func TestBalloonedColluderStaysOut(t *testing.T) {
 				feed(t, e, k, now, 0)
 			}
 		}
-		if st := e.ServerStates()[0]; !st.Selected {
+		if st := e.Readout().ServerStates()[0]; !st.Selected {
 			t.Fatalf("round %d: wide honest server evicted", i)
 		}
 	}
@@ -555,18 +566,18 @@ func TestBalloonedColluderStaysOut(t *testing.T) {
 // safest answer available).
 func TestNoQuorumKeepsClassification(t *testing.T) {
 	e := mustEnsemble(t, 2)
-	last := run(t, e, 80, func(k, _ int) float64 {
+	run(t, e, 80, func(k, _ int) float64 {
 		if k == 1 {
 			return 5e-3
 		}
 		return 0
 	})
-	snap := e.TakeSnapshot(uint64((last + 1) / synthP))
-	if snap.Falsetickers != 0 {
-		t.Errorf("Falsetickers = %d with no quorum, want 0", snap.Falsetickers)
+	r := e.Readout()
+	if r.Falsetickers != 0 {
+		t.Errorf("Falsetickers = %d with no quorum, want 0", r.Falsetickers)
 	}
-	if !snap.Selected[0] || !snap.Selected[1] {
-		t.Errorf("Selected = %v with no quorum, want both", snap.Selected)
+	if !r.Servers[0].Selected || !r.Servers[1].Selected {
+		t.Errorf("Selected = %v, %v with no quorum, want both", r.Servers[0].Selected, r.Servers[1].Selected)
 	}
 }
 
@@ -582,8 +593,8 @@ func TestReadmitAfterValidation(t *testing.T) {
 
 // --- read-path allocations ---
 
-// TestReadPathZeroAlloc pins the read-path contract: the internal type
-// reuses scratch buffers, so combined reads allocate nothing.
+// TestReadPathZeroAlloc pins the read-path contract on a held readout:
+// the combined reads run on stack scratch, so none of them allocates.
 func TestReadPathZeroAlloc(t *testing.T) {
 	e := mustEnsemble(t, 5)
 	last := run(t, e, 60, func(k, _ int) float64 {
@@ -593,17 +604,20 @@ func TestReadPathZeroAlloc(t *testing.T) {
 		return 0
 	})
 	T := uint64((last + 1) / synthP)
+	r := e.Readout()
 	var sinkF float64
-	var sinkS Snapshot
+	var sinkS State
+	var sinkB bool
 	for name, fn := range map[string]func(){
-		"AbsoluteTime":   func() { sinkF = e.AbsoluteTime(T) },
-		"RateHat":        func() { sinkF = e.RateHat() },
-		"DifferenceSpan": func() { sinkF = e.DifferenceSpan(T, T+1000) },
-		"TakeSnapshot":   func() { sinkS = e.TakeSnapshot(T) },
+		"AbsoluteTime":   func() { sinkF = r.AbsoluteTime(T) },
+		"RateHat":        func() { sinkF = r.RateHat() },
+		"DifferenceSpan": func() { sinkF = r.DifferenceSpan(T, T+1000) },
+		"State":          func() { sinkS = r.State(T) },
+		"Synced":         func() { sinkB = r.Synced() },
 	} {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
 		}
 	}
-	_, _ = sinkF, sinkS
+	_, _, _ = sinkF, sinkS, sinkB
 }

@@ -92,7 +92,7 @@ func TestLadderDegradedOnStaleMajority(t *testing.T) {
 func TestLadderHoldoverFreezesRate(t *testing.T) {
 	e := mustEnsemble(t, 3)
 	feedAll(t, e, 0, 40)
-	trusted := e.RateHat()
+	trusted := e.Readout().RateHat()
 	if math.Abs(trusted/synthP-1) > 1e-6 {
 		t.Fatalf("setup: trusted rate %v far from %v", trusted, synthP)
 	}
@@ -102,7 +102,7 @@ func TestLadderHoldoverFreezesRate(t *testing.T) {
 	for i := 40; i < 80; i++ {
 		feed(t, e, 0, float64(i)*16+1, 5e-3)
 	}
-	if st := e.ServerStates()[0]; st.Selected {
+	if st := e.Readout().ServerStates()[0]; st.Selected {
 		t.Fatal("faulty lone server was never evicted — harness lost its teeth")
 	}
 	if e.BaseState() != StateHoldover {
@@ -112,22 +112,15 @@ func TestLadderHoldoverFreezesRate(t *testing.T) {
 		t.Errorf("VotingCount = %d, want 0", got)
 	}
 
-	// The frozen rate: writer read, snapshot and published readout all
-	// serve the same bitwise value, and further faulty exchanges cannot
-	// move it.
-	frozen := e.RateHat()
+	// The frozen rate is the last trusted one, and further faulty
+	// exchanges cannot move it.
 	r := e.Readout()
-	if r.RateHat() != frozen {
-		t.Errorf("readout rate %v != writer rate %v", r.RateHat(), frozen)
-	}
-	if snap := e.TakeSnapshot(r.LastTf); snap.Rate != frozen {
-		t.Errorf("snapshot rate %v != writer rate %v", snap.Rate, frozen)
-	}
+	frozen := r.RateHat()
 	if math.Abs(frozen/synthP-1) > 1e-5 {
 		t.Errorf("frozen rate %v drifted from the trusted value %v", frozen, synthP)
 	}
 	feed(t, e, 0, 80*16+1, 5e-3)
-	if got := e.RateHat(); got != frozen {
+	if got := e.Readout().RateHat(); got != frozen {
 		t.Errorf("rate moved in HOLDOVER: %v → %v", frozen, got)
 	}
 

@@ -33,12 +33,9 @@ type ServerReadout struct {
 
 	// Weight is the normalized combining weight (zero for warmup
 	// servers and flagged falsetickers, with the documented mass-
-	// eviction and pre-graduation fallbacks already applied). raw is
-	// the unnormalized weight the combining medians use — kept
-	// separately so readout reads are bitwise identical to the
-	// writer-side scratch reads, which consume raw weights.
+	// eviction and pre-graduation fallbacks already applied): the
+	// weight behind every combining median.
 	Weight float64
-	raw    float64
 
 	// Trust and selection diagnostics, as ServerState reports them.
 	Ready           bool
@@ -138,30 +135,55 @@ func (r *Readout) State(T uint64) State {
 const readScratch = 16
 
 // AbsoluteTime reads the combined absolute clock at a counter value:
-// the weighted median of the positive-weight servers' absolute clocks,
-// exactly as the writer-side Ensemble.AbsoluteTime computes it.
+// the weighted median of the positive-weight servers' absolute clocks.
+// With three or more comparable servers, a faulty minority — even one
+// whose members agree with each other — is excluded by the selection
+// stage and outvoted by the median.
 //
 //repro:readpath
 //repro:hotpath
 func (r *Readout) AbsoluteTime(T uint64) float64 {
+	combined, _ := r.combine(T, nil)
+	return combined
+}
+
+// combine returns the weighted median of the positive-weight servers'
+// votes at counter value T, each vote the server's absolute clock less
+// its asymmetry correction. A non-nil votes gets every server's vote
+// appended, in server order, and is returned extended. This is the one
+// place the correction is applied; it is identically zero while the
+// feature is off (x − 0 is the identity for every float), so the
+// uncorrected combine is unchanged bit for bit.
+//
+//repro:readpath
+func (r *Readout) combine(T uint64, votes []float64) (float64, []float64) {
 	var buf [readScratch]wv
 	items, total := buf[:0], 0.0
 	for k := range r.Servers {
-		if w := r.Servers[k].raw; w > 0 {
-			// AsymCorrection is identically zero while the feature is
-			// off, so this stays bit-identical to the uncorrected read.
+		sr := &r.Servers[k]
+		if sr.Weight <= 0 && votes == nil {
+			continue
+		}
+		v := sr.Clock.AbsoluteTime(T) - sr.AsymCorrection
+		if votes != nil {
+			//repro:alloc-ok append into the caller's readScratch stack buffer; spills to the heap only past readScratch servers (documented above)
+			votes = append(votes, v)
+		}
+		if sr.Weight > 0 {
 			//repro:alloc-ok append into the readScratch stack buffer; spills to the heap only past readScratch servers (documented above)
-			items = append(items, wv{r.Servers[k].Clock.AbsoluteTime(T) - r.Servers[k].AsymCorrection, w})
-			total += w
+			items = append(items, wv{v, sr.Weight})
+			total += sr.Weight
 		}
 	}
-	if len(items) == 0 {
-		if len(r.Servers) == 0 {
-			return 0
-		}
-		return r.Servers[0].Clock.AbsoluteTime(T)
+	switch {
+	case len(items) > 0:
+		return medianOfItems(items, total), votes
+	case len(r.Servers) > 0:
+		// No server holds weight (before the first exchange): the
+		// first server's clock stands in, as a single clock would read.
+		return r.Servers[0].Clock.AbsoluteTime(T), votes
 	}
-	return medianOfItems(items, total)
+	return 0, votes
 }
 
 // RateHat returns the combined rate estimate (seconds per cycle).
@@ -180,45 +202,29 @@ func (r *Readout) DifferenceSpan(T1, T2 uint64) float64 {
 	return -float64(T1-T2) * r.Rate
 }
 
-// Agreement counts the servers whose error interval (absolute clock ±
-// AgreementBound) contains the combined absolute time at counter value
-// T, mirroring Snapshot.Agreement: the normalized weights drive the
-// median here, as TakeSnapshot's does.
+// Agreement counts the servers whose error interval — the server's
+// absolute clock ± AgreementBound, Marzullo-style — contains the
+// combined absolute time at counter value T. len(Servers) means full
+// agreement; below a majority means the ensemble is running on a
+// minority of self-consistent servers and should be treated with
+// suspicion.
 //
 //repro:readpath
 //repro:hotpath
 func (r *Readout) Agreement(T uint64) int {
-	var buf [readScratch]wv
-	items, total := buf[:0], 0.0
-	var vals [readScratch]float64
-	vs := vals[:0]
-	for k := range r.Servers {
-		v := r.Servers[k].Clock.AbsoluteTime(T) - r.Servers[k].AsymCorrection
-		//repro:alloc-ok append into the readScratch stack buffer; spills to the heap only past readScratch servers
-		vs = append(vs, v)
-		if w := r.Servers[k].Weight; w > 0 {
-			//repro:alloc-ok append into the readScratch stack buffer; spills to the heap only past readScratch servers
-			items = append(items, wv{v, w})
-			total += w
-		}
-	}
-	combined := 0.0
-	switch {
-	case len(items) > 0:
-		combined = medianOfItems(items, total)
-	case len(vs) > 0:
-		combined = vs[0]
-	}
+	var buf [readScratch]float64
+	combined, votes := r.combine(T, buf[:0])
 	n := 0
 	for k := range r.Servers {
-		if r.Servers[k].Exchanges == 0 {
+		sr := &r.Servers[k]
+		if sr.Exchanges == 0 {
 			continue
 		}
-		d := vs[k] - combined
+		d := votes[k] - combined
 		if d < 0 {
 			d = -d
 		}
-		if d <= r.Servers[k].AgreementBound {
+		if d <= sr.AgreementBound {
 			n++
 		}
 	}
@@ -263,9 +269,38 @@ func (r *Readout) Synced() bool {
 	return false
 }
 
+// ServerState is the diagnostic view of one server's trust and
+// selection state.
+type ServerState struct {
+	Exchanges     int     // exchanges processed
+	Ready         bool    // past warmup
+	Weight        float64 // normalized combining weight
+	ErrScale      float64 // error scale (s) behind the weight
+	PointErrLevel float64 // EWMA of the point error (s)
+	RTTWobble     float64 // EWMA of |Δr̂| (s)
+	Penalty       float64 // current decaying event penalty (s)
+
+	// Selected reports membership in the selected (truechimer) set;
+	// Falseticker is a ready server currently voted out by the
+	// interval-intersection stage. IntersectStreak counts consecutive
+	// sweeps intersecting the majority (a flagged server re-enters at
+	// ReadmitAfter). AsymmetryHint is the signed disagreement of this
+	// server's absolute clock against the selected-set midpoint (s) —
+	// an estimate of path-asymmetry error no single path can observe.
+	Selected        bool
+	Falseticker     bool
+	IntersectStreak int
+	AsymmetryHint   float64
+
+	// AsymCorrection is the damped, clamped asymmetry correction (s)
+	// currently subtracted from this server's absolute clock in the
+	// combining median (see asym.go); zero unless Config.AsymCorrection
+	// is on and the server is selected and unpenalized.
+	AsymCorrection float64
+}
+
 // ServerStates derives the per-server diagnostic view from the
-// snapshot, field-for-field what the writer-side Ensemble.ServerStates
-// reports. The returned slice is freshly allocated.
+// snapshot. The returned slice is freshly allocated.
 //
 //repro:readpath
 func (r *Readout) ServerStates() []ServerState {
@@ -312,7 +347,6 @@ func (e *Ensemble) publish() {
 		m := &e.members[k]
 		sr := &ro.Servers[k]
 		sr.Clock = e.engines[k].Readout()
-		sr.raw = raw[k]
 		if total > 0 {
 			sr.Weight = raw[k] / total
 		}
@@ -339,13 +373,12 @@ func (e *Ensemble) publish() {
 			ro.Falsetickers++
 		}
 	}
-	// Combined rate: the weighted median of the per-server p̂ under the
-	// raw weights — the same items, in the same order, through the same
-	// median walk as the writer-side RateHat.
+	// Combined rate: the weighted median of the per-server p̂, through
+	// the same median walk as AbsoluteTime.
 	var buf [readScratch]wv
 	items, wTotal := buf[:0], 0.0
 	for k := range ro.Servers {
-		if w := ro.Servers[k].raw; w > 0 {
+		if w := ro.Servers[k].Weight; w > 0 {
 			//repro:alloc-ok append into the readScratch stack buffer; spills to the heap only past readScratch servers
 			items = append(items, wv{ro.Servers[k].Clock.P, w})
 			wTotal += w
@@ -357,10 +390,10 @@ func (e *Ensemble) publish() {
 	case len(ro.Servers) > 0:
 		ro.Rate = ro.Servers[0].Clock.P
 	}
-	// Holdover rate freeze, applied identically here and in the
-	// writer-side RateHat so readout and writer reads stay bitwise
-	// equal: below DEGRADED the last trusted rate is served; at or
-	// above it the live median becomes the new trusted rate.
+	// Holdover rate freeze: below DEGRADED the last trusted rate is
+	// served (coasting on a live median of unfit servers would defeat
+	// holdover); at or above it the live median becomes the new trusted
+	// rate.
 	if e.frozenActive() {
 		ro.Rate = e.frozenRate
 	} else {

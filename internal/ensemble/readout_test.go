@@ -2,69 +2,124 @@ package ensemble
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
 )
 
-// checkReadoutMatchesWriter asserts, at one instant, that the published
-// readout answers every read identically to the writer-side scratch
-// methods (the pre-refactor locked path of the public wrappers).
-func checkReadoutMatchesWriter(t *testing.T, e *Ensemble, T uint64) {
+// refMedian is an independent rendition of the combining median: the
+// (value, weight) pairs with positive weight, sorted by value, walked to
+// the cumulative half weight, averaging the two straddling values on an
+// exact hit. With no positive weight it returns the first value.
+func refMedian(vals, ws []float64) float64 {
+	type pair struct{ v, w float64 }
+	var ps []pair
+	total := 0.0
+	for k := range vals {
+		if ws[k] > 0 {
+			ps = append(ps, pair{vals[k], ws[k]})
+			total += ws[k]
+		}
+	}
+	if len(ps) == 0 {
+		return vals[0]
+	}
+	sort.SliceStable(ps, func(i, j int) bool { return ps[i].v < ps[j].v })
+	acc := 0.0
+	for i := range ps {
+		acc += ps[i].w
+		if acc == total/2 {
+			return (ps[i].v + ps[i+1].v) / 2
+		}
+		if acc > total/2 {
+			return ps[i].v
+		}
+	}
+	return ps[len(ps)-1].v
+}
+
+// checkReadoutConsistent asserts, at one instant, that the published
+// readout is internally consistent and that its combined reads equal a
+// reference evaluation over its own per-server view: the weights are
+// normalized, the counts summarize the per-server flags, Weights and
+// ServerStates mirror Servers, and AbsoluteTime, Agreement and (outside
+// the holdover freeze) the combined rate follow refMedian over each
+// server's corrected clock.
+func checkReadoutConsistent(t *testing.T, e *Ensemble, T uint64) {
 	t.Helper()
 	r := e.Readout()
 	if r == nil {
 		t.Fatal("no readout published")
 	}
-	if len(r.Servers) != e.Size() {
-		t.Fatalf("readout has %d servers, want %d", len(r.Servers), e.Size())
+	n := len(r.Servers)
+	if n != e.Size() {
+		t.Fatalf("readout has %d servers, want %d", n, e.Size())
 	}
-	if got, want := r.AbsoluteTime(T), e.AbsoluteTime(T); got != want {
-		t.Fatalf("AbsoluteTime(%d): readout %v, writer %v", T, got, want)
-	}
-	if got, want := r.RateHat(), e.RateHat(); got != want {
-		t.Fatalf("RateHat: readout %v, writer %v", got, want)
-	}
-	if got, want := r.DifferenceSpan(T, T+5000), e.DifferenceSpan(T, T+5000); got != want {
-		t.Fatalf("DifferenceSpan: readout %v, writer %v", got, want)
-	}
-	if got, want := r.Exchanges, e.Exchanges(); got != want {
-		t.Fatalf("Exchanges: readout %d, writer %d", got, want)
-	}
-	snap := e.TakeSnapshot(T)
-	if got, want := r.Agreement(T), snap.Agreement; got != want {
-		t.Fatalf("Agreement(%d): readout %d, snapshot %d", T, got, want)
-	}
-	if got, want := r.Falsetickers, snap.Falsetickers; got != want {
-		t.Fatalf("Falsetickers: readout %d, snapshot %d", got, want)
-	}
-	ws := e.Weights()
-	states := e.ServerStates()
+	vals, rates, ws := make([]float64, n), make([]float64, n), r.Weights()
+	wSum, exchanges, ready, selected, fticks := 0.0, 0, 0, 0, 0
+	states := r.ServerStates()
 	for k := range r.Servers {
 		sr := &r.Servers[k]
-		if sr.Weight != ws[k] {
-			t.Fatalf("server %d: readout weight %v, writer %v", k, sr.Weight, ws[k])
-		}
-		if sr.Selected != snap.Selected[k] {
-			t.Fatalf("server %d: readout selected %v, snapshot %v", k, sr.Selected, snap.Selected[k])
-		}
-		if sr.AsymmetryHint != snap.AsymmetryHint[k] {
-			t.Fatalf("server %d: readout hint %v, snapshot %v", k, sr.AsymmetryHint, snap.AsymmetryHint[k])
-		}
 		st := states[k]
-		if sr.Ready != st.Ready || sr.Falseticker != st.Falseticker ||
-			sr.IntersectStreak != st.IntersectStreak || sr.Exchanges != st.Exchanges ||
-			sr.ErrScale != st.ErrScale || sr.PointErrLevel != st.PointErrLevel ||
-			sr.RTTWobble != st.RTTWobble || sr.Penalty != st.Penalty {
-			t.Fatalf("server %d: readout diagnostics %+v do not match ServerState %+v", k, sr, st)
+		if st.Weight != ws[k] || st.Selected != sr.Selected || st.Falseticker != sr.Falseticker ||
+			st.AsymmetryHint != sr.AsymmetryHint || st.AsymCorrection != sr.AsymCorrection ||
+			st.Ready != sr.Ready || st.IntersectStreak != sr.IntersectStreak || st.Exchanges != sr.Exchanges ||
+			st.ErrScale != sr.ErrScale || st.PointErrLevel != sr.PointErrLevel ||
+			st.RTTWobble != sr.RTTWobble || st.Penalty != sr.Penalty {
+			t.Fatalf("server %d: ServerState %+v does not mirror the readout %+v", k, st, sr)
 		}
+		if sr.AgreementBound != e.cfg.AgreementFactor*sr.ErrScale {
+			t.Fatalf("server %d: agreement bound %v, want %v·%v", k, sr.AgreementBound, e.cfg.AgreementFactor, sr.ErrScale)
+		}
+		vals[k] = sr.Clock.AbsoluteTime(T) - sr.AsymCorrection
+		rates[k] = sr.Clock.P
+		wSum += ws[k]
+		exchanges += sr.Exchanges
+		if sr.Ready {
+			ready++
+		}
+		if sr.Selected {
+			selected++
+		}
+		if sr.Falseticker {
+			fticks++
+		}
+	}
+	if exchanges > 0 && math.Abs(wSum-1) > 1e-12 {
+		t.Fatalf("weights sum to %v, want 1", wSum)
+	}
+	if r.Exchanges != exchanges || r.ReadyCount != ready || r.SelectedCount != selected || r.Falsetickers != fticks {
+		t.Fatalf("counts (exchanges %d, ready %d, selected %d, falsetickers %d), per-server flags give (%d, %d, %d, %d)",
+			r.Exchanges, r.ReadyCount, r.SelectedCount, r.Falsetickers, exchanges, ready, selected, fticks)
+	}
+	combined := refMedian(vals, ws)
+	if got := r.AbsoluteTime(T); got != combined {
+		t.Fatalf("AbsoluteTime(%d) = %v, reference median %v", T, got, combined)
+	}
+	agree := 0
+	for k := range r.Servers {
+		if r.Servers[k].Exchanges > 0 && math.Abs(vals[k]-combined) <= r.Servers[k].AgreementBound {
+			agree++
+		}
+	}
+	if got := r.Agreement(T); got != agree {
+		t.Fatalf("Agreement(%d) = %d, reference %d", T, got, agree)
+	}
+	if !e.frozenActive() {
+		if want := refMedian(rates, ws); r.RateHat() != want {
+			t.Fatalf("RateHat = %v, reference median %v", r.RateHat(), want)
+		}
+	}
+	if got, want := r.DifferenceSpan(T, T+5000), 5000*r.RateHat(); got != want {
+		t.Fatalf("DifferenceSpan = %v, want %v", got, want)
 	}
 }
 
 // TestEnsembleReadoutEquivalence feeds the harness scenarios — all
 // good, one faulty from the start, a mid-run fault — and checks after
-// every exchange that the published readout is equivalent to the
-// writer-side read path.
+// every exchange that the published readout's combined reads are
+// equivalent to the reference evaluation over its per-server view.
 func TestEnsembleReadoutEquivalence(t *testing.T) {
 	scenarios := map[string]func(server, round int) float64{
 		"all-good": func(int, int) float64 { return 0 },
@@ -84,13 +139,13 @@ func TestEnsembleReadoutEquivalence(t *testing.T) {
 	for name, fault := range scenarios {
 		t.Run(name, func(t *testing.T) {
 			e := mustEnsemble(t, 3)
-			checkReadoutMatchesWriter(t, e, 1000) // pre-first-exchange
+			checkReadoutConsistent(t, e, 1000) // pre-first-exchange
 			now := 0.0
 			for i := 0; i < 80; i++ {
 				for k := 0; k < e.Size(); k++ {
 					now = float64(i)*16 + float64(k)*16/float64(e.Size()) + 1
 					feed(t, e, k, now, fault(k, i))
-					checkReadoutMatchesWriter(t, e, uint64((now+0.5)/synthP))
+					checkReadoutConsistent(t, e, uint64((now+0.5)/synthP))
 				}
 			}
 		})
@@ -122,7 +177,7 @@ func TestEnsembleReadoutIdentity(t *testing.T) {
 	if r.Servers[0].Penalty == 0 {
 		t.Error("identity-change penalty not published")
 	}
-	checkReadoutMatchesWriter(t, e, uint64(18/synthP))
+	checkReadoutConsistent(t, e, uint64(18/synthP))
 }
 
 // TestEnsembleReadoutImmutable: a held readout is not changed by
@@ -170,8 +225,8 @@ func TestEnsembleReadoutSynced(t *testing.T) {
 }
 
 // TestEnsembleReadoutZeroAllocRead: loading the published readout and
-// reading through it allocates nothing — the lock-free analogue of
-// TestReadPathZeroAlloc.
+// reading through it allocates nothing — every combined read runs on
+// stack scratch.
 func TestEnsembleReadoutZeroAllocRead(t *testing.T) {
 	e := mustEnsemble(t, 5)
 	last := run(t, e, 60, func(k, _ int) float64 {

@@ -73,7 +73,7 @@ func runAsym(opts Options) (*Report, error) {
 			if _, err := ens.Process(e.Server, core.Input{Ta: e.Ta, Tf: e.Tf, Tb: e.Tb, Te: e.Te}); err != nil {
 				return nil, fmt.Errorf("server %d seq %d: %w", e.Server, e.Seq, err)
 			}
-			out.errs[i] = ens.TakeSnapshot(e.Tf).AbsoluteTime - e.Tg
+			out.errs[i] = ens.Readout().AbsoluteTime(e.Tf) - e.Tg
 		}
 		return out, nil
 	}
@@ -124,9 +124,9 @@ func runAsym(opts Options) (*Report, error) {
 
 	// Steady-state per-server view of the corrected run: applied
 	// corrections, their clamps, and the selection result.
-	states := corr.ens.ServerStates()
+	states := corr.ens.Readout().ServerStates()
 	worstSymmCorr := 0.0
-	for _, st := range symmCorr.ens.ServerStates() {
+	for _, st := range symmCorr.ens.Readout().ServerStates() {
 		if c := math.Abs(st.AsymCorrection); c > worstSymmCorr {
 			worstSymmCorr = c
 		}

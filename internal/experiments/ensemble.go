@@ -80,9 +80,9 @@ func runEnsemble(opts Options) (*Report, error) {
 		if _, err := ens.Process(e.Server, core.Input{Ta: e.Ta, Tf: e.Tf, Tb: e.Tb, Te: e.Te}); err != nil {
 			return nil, fmt.Errorf("ensemble server %d seq %d: %w", e.Server, e.Seq, err)
 		}
-		snap := ens.TakeSnapshot(e.Tf)
-		ensErrs[i] = snap.AbsoluteTime - e.Tg
-		w := snap.Weights[faulty]
+		ro := ens.Readout()
+		ensErrs[i] = ro.AbsoluteTime(e.Tf) - e.Tg
+		w := ro.Servers[faulty].Weight
 		if e.TrueTf > faultAt && w < minFaultyWeight {
 			minFaultyWeight = w
 		}
@@ -110,7 +110,7 @@ func runEnsemble(opts Options) (*Report, error) {
 	goodMed := medianAbs(tail(goodErrs, func(i int) float64 { return goodEx[i].TrueTf }))
 	faultyMed := medianAbs(tail(faultyErrs, func(i int) float64 { return faultyEx[i].TrueTf }))
 	ensMed := medianAbs(tail(ensErrs, func(i int) float64 { return all[i].TrueTf }))
-	agreement := ens.Agreement(all[len(all)-1].Tf)
+	agreement := ens.Readout().Agreement(all[len(all)-1].Tf)
 
 	r.addLine("fault: server %d off by %s from %.2f days; tail medians |err|: good single %s, faulty single %s, ensemble %s",
 		faulty, timebase.FormatDuration(faultOff), faultAt/timebase.Day,

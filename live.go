@@ -34,6 +34,15 @@ type LiveOptions struct {
 // Live runs the full TSC-NTP pipeline against a real NTP server over
 // UDP: raw monotonic counter stamps on the host side, standard NTP
 // packets on the wire, and the robust calibration algorithms in between.
+//
+// Live is deliberately not a one-upstream MultiLive. Its ServerSample
+// follows the single engine's readout, with no degradation ladder:
+// unsynced until calibrated, then root dispersion r̂/2 + 15 PPM·age,
+// where MultiLive advertises the ensemble's voting health and its
+// holdover drift bound. Live also offers RunAdaptive (poller-driven
+// intervals, which MultiLive's staggered per-server schedules do not
+// use), and it keeps the one socket it dialed, where MultiLive re-dials
+// an upstream after repeated failures.
 type Live struct {
 	clock   *Clock
 	client  *ntp.Client
