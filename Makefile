@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint reprolint fmt bench bench-json clean
+.PHONY: all build test race lint reprolint fmt bench bench-json perfbench-test clean
 
 all: lint test build
 
@@ -40,6 +40,11 @@ bench:
 # tools/benchjson, so perf claims are diffable data.
 bench-json:
 	$(GO) test ./internal/ntp/ -run xxx -bench BenchmarkServeLoopback -benchmem | $(GO) run ./tools/benchjson
+
+# perfbench-test vets and tests the benchmark module (perfbench/ has
+# its own go.mod, so the root test target never builds it).
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 clean:
 	$(GO) clean ./...

@@ -14,15 +14,15 @@ import (
 // sub-window [n−nLocalNear, n). Kept test-only as the equivalence
 // oracle for pushLocalMinima/rebuildLocalMinima.
 func (s *Sync) scanLocalMinima() (jSeq, iSeq int) {
-	n := s.hist.Len()
+	n := s.scan.Len()
 	bestOf := func(i, j int) int {
-		best := s.hist.At(i)
+		best := i
 		for idx := i + 1; idx < j; idx++ {
-			if r := s.hist.At(idx); r.pointErr < best.pointErr {
-				best = r
+			if s.scan.At(idx).pointErr < s.scan.At(best).pointErr {
+				best = idx
 			}
 		}
-		return best.seq
+		return s.histSeq + best
 	}
 	winStart := n - s.nLocalWin
 	return bestOf(winStart, winStart+s.nLocalFar), bestOf(n-s.nLocalNear, n)

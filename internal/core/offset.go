@@ -19,8 +19,8 @@ import (
 const weightCutoffBase = 9
 
 // updateOffset runs the four-stage offset algorithm of Section 5.3 at the
-// arrival of the current packet, with the warmup and lost-packet
-// refinements of Section 6.1:
+// arrival of the current packet (counter stamp now, scan view cur), with
+// the warmup and lost-packet refinements of Section 6.1:
 //
 //	(i)   total per-packet error E^T_i = E_i + ε·age_i
 //	(ii)  quality weights w_i = exp(−(E^T_i/E)²) over the τ′ window
@@ -37,7 +37,7 @@ const weightCutoffBase = 9
 // beyond the age horizon (cutoff/ε seconds) are located by binary
 // search and never touched. Each surviving record costs one fused
 // table-driven exponential (expNeg) instead of a math.Exp call.
-func (s *Sync) updateOffset(rec *record, res *Result) {
+func (s *Sync) updateOffset(now uint64, cur *scanRec, res *Result) {
 	e := s.cfg.E()
 	if s.count <= s.nWarm {
 		e *= s.cfg.WarmupEInflation
@@ -57,8 +57,7 @@ func (s *Sync) updateOffset(rec *record, res *Result) {
 	if start < 0 {
 		start = 0
 	}
-	now := rec.tf
-	fnow := float64(now)
+	fnow := cur.ftf
 	p := s.p
 	eps := s.cfg.AgingRate
 	epsP := eps * p
@@ -119,7 +118,7 @@ func (s *Sync) updateOffset(rec *record, res *Result) {
 		// First packet: the estimate is the naive one; with the clock
 		// aligned to the server at the first exchange this is the
 		// paper's "first estimate is just the server timestamp".
-		cand = rec.theta
+		cand = cur.theta
 	case minET > eStarStar || sumW == 0:
 		res.PoorQuality = true
 		prevAge := spanSeconds(s.thetaTf, now, s.p)
@@ -135,15 +134,15 @@ func (s *Sync) updateOffset(rec *record, res *Result) {
 			// After a long outage the stored window is stale: blend the
 			// new naive estimate (weighted by its point error) with the
 			// aged previous estimate, to let fresh data in quickly.
-			wNew := math.Exp(-(rec.pointErr / e) * (rec.pointErr / e))
+			wNew := math.Exp(-(cur.pointErr / e) * (cur.pointErr / e))
 			agedErr := s.thetaErr + s.cfg.AgingRate*prevAge
 			wOld := math.Exp(-(agedErr / e) * (agedErr / e))
 			if wNew+wOld > 0 {
-				cand = (wNew*rec.theta + wOld*prevPred) / (wNew + wOld)
+				cand = (wNew*cur.theta + wOld*prevPred) / (wNew + wOld)
 			} else {
 				cand = prevPred
 			}
-			s.thetaErr = math.Min(rec.pointErr, agedErr)
+			s.thetaErr = math.Min(cur.pointErr, agedErr)
 		} else {
 			cand = prevPred
 			s.thetaErr += s.cfg.AgingRate * prevAge

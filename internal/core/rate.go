@@ -4,9 +4,10 @@ import "math"
 
 // pairEstimate computes the paired rate estimate of equation (17),
 // averaged over the forward and backward directions, together with its
-// quality bound (E_i+E_j)/Δ(t). ok is false when the pair is degenerate.
+// quality bound (E_i+E_j)/Δ(t). ok is false when the pair is degenerate,
+// which includes the same packet at both ends (i.ta <= j.ta).
 func (s *Sync) pairEstimate(j, i *record) (p float64, quality float64, ok bool) {
-	if i.seq == j.seq || i.ta <= j.ta || i.tf <= j.tf {
+	if i.ta <= j.ta || i.tf <= j.tf {
 		return 0, 0, false
 	}
 	fwd := (i.tb - j.tb) / float64(i.ta-j.ta)
@@ -20,7 +21,8 @@ func (s *Sync) pairEstimate(j, i *record) (p float64, quality float64, ok bool) 
 	return p, quality, true
 }
 
-// updateRate advances the global rate estimate p̂ for the new record.
+// updateRate advances the global rate estimate p̂ for the new record,
+// whose sequence number is seq.
 //
 // During warmup (the first T_w packets) a growing near/far scheme is
 // used: the best packet from the oldest quarter of history is paired with
@@ -30,13 +32,13 @@ func (s *Sync) pairEstimate(j, i *record) (p float64, quality float64, ok bool) 
 // After warmup the paired estimator of Section 5.2 runs: j is the first
 // packet with point error below E*, i advances to every accepted packet,
 // and the estimate error is bounded by 2E*/Δ(t).
-func (s *Sync) updateRate(rec *record, res *Result) {
+func (s *Sync) updateRate(rec *record, seq int, res *Result) {
 	if s.count <= 1 {
 		return // single packet: stay on PHatInit
 	}
 
 	if s.count <= s.nWarm {
-		s.warmupRate(rec, res)
+		s.warmupRate(rec, seq, res)
 		return
 	}
 
@@ -51,20 +53,20 @@ func (s *Sync) updateRate(rec *record, res *Result) {
 		for idx := 0; idx < s.hist.Len(); idx++ {
 			cand := s.hist.At(idx)
 			if cand.rtt-s.rHat <= eStar && cand.tf < rec.tf {
-				s.pairJ = *cand
+				s.pairJ = pairRec{*cand, s.histSeq + idx}
 				s.havePair = true
 				break
 			}
 		}
 		if !s.havePair {
 			// No prior acceptable packet: this one becomes j and waits.
-			s.pairJ = *rec
+			s.pairJ = pairRec{*rec, seq}
 			s.havePair = true
 			return
 		}
 	}
 
-	pNew, qual, ok := s.pairEstimate(&s.pairJ, rec)
+	pNew, qual, ok := s.pairEstimate(&s.pairJ.record, rec)
 	if !ok {
 		return
 	}
@@ -79,14 +81,14 @@ func (s *Sync) updateRate(rec *record, res *Result) {
 		res.RateSanityTriggered = true
 		return
 	}
-	s.pairI = *rec
+	s.pairI = pairRec{*rec, seq}
 	s.setRate(pNew, rec.tf)
 	s.pQual = qual
 	res.RateUpdated = true
 }
 
 // warmupRate implements the growing near/far warmup scheme.
-func (s *Sync) warmupRate(rec *record, res *Result) {
+func (s *Sync) warmupRate(rec *record, seq int, res *Result) {
 	n := s.hist.Len() // history before this record
 	w := n / 4
 	if w < 1 {
@@ -114,22 +116,22 @@ func (s *Sync) warmupRate(rec *record, res *Result) {
 			bestNear = idx
 		}
 	}
-	near := rec
+	near, nearSeq := rec, seq
 	if cur := rec.rtt - s.rHat; cur > bestNearErr && bestNear >= 0 {
-		near = s.hist.At(bestNear)
+		near, nearSeq = s.hist.At(bestNear), s.histSeq+bestNear
 	}
 	if bestFar < 0 {
 		return
 	}
-	far := s.hist.At(bestFar)
-	if far.seq == near.seq {
+	far, farSeq := s.hist.At(bestFar), s.histSeq+bestFar
+	if farSeq == nearSeq {
 		return
 	}
 	pNew, qual, ok := s.pairEstimate(far, near)
 	if !ok {
 		return
 	}
-	s.pairJ, s.pairI = *far, *near
+	s.pairJ, s.pairI = pairRec{*far, farSeq}, pairRec{*near, nearSeq}
 	s.havePair = true
 	s.setRate(pNew, rec.tf)
 	s.pQual = qual
@@ -137,19 +139,20 @@ func (s *Sync) warmupRate(rec *record, res *Result) {
 	res.Accepted = true
 }
 
-// pushLocalMinima feeds the just-pushed record into the near/far argmin
-// trackers behind updateLocalRate. The near window is the trailing
-// nLocalNear records, so the new record enters immediately; the far
-// window [seq−nLocalWin+1, seq−nLocalWin+nLocalFar] lags the newest
-// record, so the record entering it now is an older one, located in the
-// ring by sequence number (seqs are contiguous: every processed packet
-// gets the next one). Amortized O(1) per packet.
-func (s *Sync) pushLocalMinima(rec *record) {
-	s.nearMin.Push(rec.seq, rec.pointErr)
-	s.nearMin.EvictBefore(rec.seq - s.nLocalNear + 1)
+// pushLocalMinima feeds the just-pushed record (sequence number seq,
+// point error pointErr) into the near/far argmin trackers behind
+// updateLocalRate. The near window is the trailing nLocalNear
+// records, so the new record enters immediately; the far window
+// [seq−nLocalWin+1, seq−nLocalWin+nLocalFar] lags the newest record,
+// so the record entering it now is an older one, located in the ring
+// by sequence number (seqs are contiguous: every processed packet gets
+// the next one). Amortized O(1) per packet.
+func (s *Sync) pushLocalMinima(seq int, pointErr float64) {
+	s.nearMin.Push(seq, pointErr)
+	s.nearMin.EvictBefore(seq - s.nLocalNear + 1)
 
-	frontSeq := s.hist.Front().seq
-	winStart := rec.seq - s.nLocalWin + 1
+	frontSeq := s.histSeq
+	winStart := seq - s.nLocalWin + 1
 	target := winStart + s.nLocalFar - 1
 	for ; s.farNext <= target; s.farNext++ {
 		if s.farNext < frontSeq {
@@ -160,8 +163,7 @@ func (s *Sync) pushLocalMinima(rec *record) {
 			// skipped record can never be inside an active far window.
 			continue
 		}
-		h := s.hist.At(s.farNext - frontSeq)
-		s.farMin.Push(h.seq, h.pointErr)
+		s.farMin.Push(s.farNext, s.scan.At(s.farNext-frontSeq).pointErr)
 	}
 	s.farMin.EvictBefore(winStart)
 }
@@ -176,18 +178,18 @@ func (s *Sync) rebuildLocalMinima() {
 	}
 	s.nearMin.Reset()
 	s.farMin.Reset()
-	backSeq := s.hist.Back().seq
-	frontSeq := s.hist.Front().seq
+	frontSeq := s.histSeq
+	backSeq := frontSeq + s.hist.Len() - 1
 
 	lo := maxInt(frontSeq, backSeq-s.nLocalNear+1)
 	for seq := lo; seq <= backSeq; seq++ {
-		s.nearMin.Push(seq, s.hist.At(seq-frontSeq).pointErr)
+		s.nearMin.Push(seq, s.scan.At(seq-frontSeq).pointErr)
 	}
 
 	winStart := backSeq - s.nLocalWin + 1
 	hi := winStart + s.nLocalFar - 1
 	for seq := maxInt(frontSeq, winStart); seq <= hi && seq <= backSeq; seq++ {
-		s.farMin.Push(seq, s.hist.At(seq-frontSeq).pointErr)
+		s.farMin.Push(seq, s.scan.At(seq-frontSeq).pointErr)
 	}
 	if hi+1 > s.farNext {
 		s.farNext = hi + 1
@@ -225,7 +227,7 @@ func (s *Sync) updateLocalRate(res *Result) {
 		}
 	}
 
-	frontSeq := s.hist.Front().seq
+	frontSeq := s.histSeq
 	jSeq, okJ := s.farMin.MinSeq()
 	iSeq, okI := s.nearMin.MinSeq()
 	if !okJ || !okI {

@@ -74,9 +74,9 @@ func TestWarmupRateEmptyHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := record{seq: 0, ta: 1000, tf: 2000, tb: 1, te: 1.0001, rtt: 2e-6}
+	rec := record{ta: 1000, tf: 2000, tb: 1, te: 1.0001, rtt: 2e-6}
 	var res Result
-	s.warmupRate(&rec, &res) // must not panic on n = 0
+	s.warmupRate(&rec, 0, &res) // must not panic on n = 0
 	if s.havePair || res.RateUpdated {
 		t.Error("warmup with empty history fabricated a pair")
 	}
@@ -120,7 +120,7 @@ func TestSlidePairReplacement(t *testing.T) {
 		preQual := math.Inf(1)
 		willSlide := s.hist.Len() == s.nTop-1 // this Process call will slide
 		if willSlide {
-			preFront = s.hist.Front().seq
+			preFront = s.histSeq
 			preQual = s.pQual
 			// Congest the sliding packet so the rate filter rejects it:
 			// pQual then cannot change before slideTopWindow runs, and
@@ -137,7 +137,7 @@ func TestSlidePairReplacement(t *testing.T) {
 
 		if willSlide {
 			slides++
-			if s.hist.Front().seq <= preFront {
+			if s.histSeq <= preFront {
 				t.Fatalf("packet %d: top window did not slide", i)
 			}
 			if !s.havePair {
@@ -148,10 +148,10 @@ func TestSlidePairReplacement(t *testing.T) {
 			// the new j must have in-window provenance. When i itself
 			// left the window there is no candidate and the stale pair
 			// persists as a long-baseline anchor — allowed by design.
-			if s.pairI.seq > s.hist.Front().seq {
-				if s.pairJ.seq < s.hist.Front().seq {
+			if s.pairI.seq > s.histSeq {
+				if s.pairJ.seq < s.histSeq {
 					t.Fatalf("packet %d: pair j (seq %d) evicted but not replaced (front seq %d)",
-						i, s.pairJ.seq, s.hist.Front().seq)
+						i, s.pairJ.seq, s.histSeq)
 				}
 				replaced++
 			}

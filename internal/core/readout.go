@@ -151,8 +151,10 @@ func (s *Sync) Readout() *Readout { return s.pub.Load() }
 // allocation-free — but carving slots out of a block cuts the write
 // path from one heap allocation per packet to one per pubSlabSize
 // packets. The trade: a reader pinning one old readout keeps its whole
-// slab (≈ pubSlabSize·sizeof(Readout) ≈ 34 KiB) reachable.
-const pubSlabSize = 256
+// slab (pubSlabSize·sizeof(Readout) = 7 KiB) reachable, and so does the
+// writer for the slab it is carving. A smaller slab pins less but
+// allocates more often.
+const pubSlabSize = 64
 
 // pubState is the atomic publication slot plus the writer-owned slab
 // the slots are carved from, split into its own type solely so sync.go

@@ -58,16 +58,14 @@ func (s *Sync) ObserveIdentity(id Identity) bool {
 	// level-shift window r̂_l, which keeps spanning pre-rebase packets
 	// for the next T_s packets, exactly like the reference's plain
 	// window scan — see TestGoldenIdentityRebaseCongestion).
-	last := s.hist.Back()
-	s.rHat = last.rtt
-	s.lastShiftSeq = last.seq
-	last.pointErr = 0
+	s.rHat = s.hist.Back().rtt
+	s.lastShiftSeq = s.histSeq + s.hist.Len() - 1
 	s.scan.Back().pointErr = 0
 	// The re-base revised a point error the local-rate argmin trackers
 	// already cached (the newest record is always in the near window).
 	s.rebuildLocalMinima()
 	if s.havePair {
-		if _, qual, ok := s.pairEstimate(&s.pairJ, &s.pairI); ok {
+		if _, qual, ok := s.pairEstimate(&s.pairJ.record, &s.pairI.record); ok {
 			s.pQual = qual
 		}
 	}

@@ -59,31 +59,40 @@ type Result struct {
 	Warmup                bool // packet processed during warmup
 }
 
-// scanRec is the offset filter's view of a record, kept in a parallel
-// ring: the weighted scan of updateOffset touches only these three
-// fields, and packing them in 24 bytes (instead of striding across
-// 64-byte records) cuts the scan's cache traffic by more than half.
+// scanRec is the offset filter's view of a packet, kept in a ring
+// parallel to hist: the weighted scan of updateOffset touches only
+// these three fields, and packing them in 24 bytes (instead of striding
+// across the full records) keeps the scan's cache traffic low. It is
+// also the only home of a packet's point error and naive offset, so
+// revisions write one copy.
 // The ftf field is float64(tf); the one extra rounding against the
 // reference's float64(now−tf) perturbs E^T by ~1e-19 s, invisible at
 // the engine's 1e-12 equivalence budget.
 type scanRec struct {
-	ftf      float64
-	pointErr float64
-	theta    float64
-}
-
-// record is the per-packet history entry kept inside the top window.
-type record struct {
-	seq    int
-	ta, tf uint64
-	tb, te float64
-	rtt    float64 // seconds, measured with p̂ at arrival
+	ftf float64
 	// pointErr is E_i relative to the r̂ in force at arrival, revised
 	// backwards when an upward level shift is detected (Section 6.2).
-	// It is never negative: r̂ is at or below the record's own RTT when
+	// It is never negative: r̂ is at or below the packet's own RTT when
 	// the value is assigned, both at arrival and at revisions.
 	pointErr float64
 	theta    float64 // naive offset estimate θ̂_i (equation 19)
+}
+
+// record is the per-packet history entry kept inside the top window:
+// the exchange's stamps and its RTT. A record's sequence number is its
+// ring position plus histSeq, the sequence number of the oldest one:
+// records enter only at the back and leave only from the front.
+type record struct {
+	ta, tf uint64
+	tb, te float64
+	rtt    float64 // seconds, measured with p̂ at arrival
+}
+
+// pairRec is one end of the global rate pair: a copy of its record,
+// which can outlive the record's ring slot, and its sequence number.
+type pairRec struct {
+	record
+	seq int
 }
 
 // Sync is the synchronization engine. Feed it completed exchanges in
@@ -106,15 +115,16 @@ type Sync struct {
 	// Window sizes in packets.
 	nOff, nLocalWin, nLocalNear, nLocalFar, nShift, nTop, nWarm int
 
-	hist  window.Ring[record]
-	scan  window.Ring[scanRec] // parallel to hist; see scanRec
-	count int                  // total packets processed
+	hist    window.Ring[record]
+	scan    window.Ring[scanRec] // parallel to hist; see scanRec
+	histSeq int                  // sequence number of hist.Front()
+	count   int                  // total packets processed
 
 	// Global rate state: the pair (j, i) and the clock C(T) = p·T + c.
 	p        float64
 	c        float64
-	pairJ    record
-	pairI    record
+	pairJ    pairRec
+	pairI    pairRec
 	havePair bool
 	pQual    float64
 
@@ -225,7 +235,7 @@ func (s *Sync) Process(in Input) (Result, error) {
 	s.count++
 	res := Result{Seq: seq, Warmup: seq < s.nWarm}
 
-	rec := record{seq: seq, ta: in.Ta, tf: in.Tf, tb: in.Tb, te: in.Te}
+	rec := record{ta: in.Ta, tf: in.Tf, tb: in.Tb, te: in.Te}
 	rec.rtt = spanSeconds(in.Ta, in.Tf, s.p)
 
 	// Minimum RTT: downward movements are unambiguous (congestion cannot
@@ -235,7 +245,7 @@ func (s *Sync) Process(in Input) (Result, error) {
 		s.rHat = rec.rtt
 	}
 	s.rMin.Push(seq, rec.rtt)
-	rec.pointErr = rec.rtt - s.rHat
+	cur := scanRec{ftf: float64(in.Tf), pointErr: rec.rtt - s.rHat}
 
 	if seq == 0 {
 		// Align the clock origin with the server: C(Ta,1) = Tb,1. The
@@ -246,20 +256,17 @@ func (s *Sync) Process(in Input) (Result, error) {
 
 	// Global rate synchronization (warmup scheme, then the paired
 	// estimator of Section 5.2).
-	s.updateRate(&rec, &res)
+	s.updateRate(&rec, seq, &res)
 
 	// The naive offset estimate uses the clock in force after the rate
 	// update so that filtering and estimation stay decoupled.
-	rec.theta = s.naiveTheta(rec)
-	res.ThetaNaive = rec.theta
+	cur.theta = s.naiveTheta(&rec)
+	res.ThetaNaive = cur.theta
 
 	*s.hist.PushSlot() = rec
-	sc := s.scan.PushSlot()
-	sc.ftf = float64(in.Tf)
-	sc.pointErr = rec.pointErr
-	sc.theta = rec.theta
+	*s.scan.PushSlot() = cur
 	if s.cfg.UseLocalRate {
-		s.pushLocalMinima(&rec)
+		s.pushLocalMinima(seq, cur.pointErr)
 	}
 
 	// Upward level-shift detection (Section 6.2) may revise recent point
@@ -269,8 +276,10 @@ func (s *Sync) Process(in Input) (Result, error) {
 	// Local rate refinement.
 	s.updateLocalRate(&res)
 
-	// Offset estimation (Section 5.3 with the Section 6.1 additions).
-	s.updateOffset(&rec, &res)
+	// Offset estimation (Section 5.3 with the Section 6.1 additions),
+	// fed the point error at arrival: cur is a copy, untouched by any
+	// revision the shift detection just made to the stored one.
+	s.updateOffset(rec.tf, &cur, &res)
 
 	// Top-level window maintenance.
 	s.slideTopWindow()
@@ -282,7 +291,7 @@ func (s *Sync) Process(in Input) (Result, error) {
 	res.ClockP, res.ClockC = s.p, s.c
 	res.RTT = rec.rtt
 	res.RTTHat = s.rHat
-	res.PointError = s.hist.Back().pointErr
+	res.PointError = s.scan.Back().pointErr
 	res.ThetaHat = s.theta
 	s.publish()
 	return res, nil
@@ -290,7 +299,7 @@ func (s *Sync) Process(in Input) (Result, error) {
 
 // naiveTheta computes equation (19) for a record with the current clock:
 // θ̂_i = (C(Ta)+C(Tf))/2 − (Tb+Te)/2.
-func (s *Sync) naiveTheta(rec record) float64 {
+func (s *Sync) naiveTheta(rec *record) float64 {
 	return (s.clockRead(rec.ta)+s.clockRead(rec.tf))/2 - (rec.tb+rec.te)/2
 }
 
@@ -317,13 +326,14 @@ func (s *Sync) slideTopWindow() {
 	drop := s.nTop / 2
 	s.hist.DropFront(drop)
 	s.scan.DropFront(drop)
+	s.histSeq += drop
 
 	// r̂ first: the minimum over the retained history, using only values
 	// beyond the last upward shift or server re-base point — a suffix
 	// query from lastShiftSeq (the eviction to the new window start
 	// only bounds deque memory; it is always at or before every future
 	// suffix start, so no later query loses samples).
-	s.rMin.EvictBefore(s.hist.Front().seq)
+	s.rMin.EvictBefore(s.histSeq)
 	if m, ok := s.rMin.SuffixMin(s.lastShiftSeq); ok {
 		s.rHat = m
 	}
@@ -331,41 +341,39 @@ func (s *Sync) slideTopWindow() {
 	// Then p̂: if the pair's older packet fell out of the window, replace
 	// it with the first retained packet of similar or better point
 	// quality, and adopt the new pair only if its quality improves.
-	if !s.havePair || s.pairI.seq <= s.pairJ.seq || s.pairJ.seq >= s.hist.Front().seq {
+	if !s.havePair || s.pairI.seq <= s.pairJ.seq || s.pairJ.seq >= s.histSeq {
 		return
 	}
+	// Candidates are the retained records older than i.
+	end := s.pairI.seq - s.histSeq
+	if end > s.hist.Len() {
+		end = s.hist.Len()
+	}
 	eStar := s.cfg.EStar()
-	var newJ *record
-	for idx := 0; idx < s.hist.Len(); idx++ {
-		cand := s.hist.At(idx)
-		if cand.seq >= s.pairI.seq {
-			break
-		}
-		if cand.rtt-s.rHat <= eStar {
-			newJ = cand
+	newJ := -1
+	for idx := 0; idx < end; idx++ {
+		if s.hist.At(idx).rtt-s.rHat <= eStar {
+			newJ = idx
 			break
 		}
 	}
-	if newJ == nil {
+	if newJ < 0 {
 		// No packet meets E*; fall back to the best available so the
 		// pair always has in-window provenance.
 		best := math.Inf(1)
-		for idx := 0; idx < s.hist.Len(); idx++ {
-			cand := s.hist.At(idx)
-			if cand.seq >= s.pairI.seq {
-				break
-			}
-			if e := cand.rtt - s.rHat; e < best {
+		for idx := 0; idx < end; idx++ {
+			if e := s.hist.At(idx).rtt - s.rHat; e < best {
 				best = e
-				newJ = cand
+				newJ = idx
 			}
 		}
 	}
-	if newJ == nil {
+	if newJ < 0 {
 		return
 	}
-	pNew, qual, ok := s.pairEstimate(newJ, &s.pairI)
-	s.pairJ = *newJ
+	cand := s.hist.At(newJ)
+	pNew, qual, ok := s.pairEstimate(cand, &s.pairI.record)
+	s.pairJ = pairRec{*cand, s.histSeq + newJ}
 	if ok && qual < s.pQual {
 		s.setRate(pNew, s.hist.Back().tf)
 		s.pQual = qual
@@ -383,27 +391,24 @@ func (s *Sync) detectUpwardShift(res *Result) {
 	if s.hist.Len() < s.nShift || s.count <= s.nWarm {
 		return
 	}
-	back := s.hist.Back()
 	thresh := s.cfg.ShiftThresholdFactor * s.cfg.E()
 	// r̂_l is bounded above by the newest RTT (it is in the window), so
 	// a shift is only detectable when that RTT itself clears the
 	// threshold — which skips the suffix query for almost every packet.
-	if back.rtt-s.rHat <= thresh {
+	if s.hist.Back().rtt-s.rHat <= thresh {
 		return
 	}
-	rl, ok := s.rMin.SuffixMin(back.seq - s.nShift + 1)
+	start := s.hist.Len() - s.nShift
+	rl, ok := s.rMin.SuffixMin(s.histSeq + start)
 	if !ok {
 		return
 	}
 	if rl-s.rHat > thresh {
-		start := s.hist.Len() - s.nShift
 		s.rHat = rl
-		s.lastShiftSeq = s.hist.At(start).seq
+		s.lastShiftSeq = s.histSeq + start
 		s.rMin.EvictBefore(s.lastShiftSeq)
 		for i := start; i < s.hist.Len(); i++ {
-			h := s.hist.At(i)
-			h.pointErr = h.rtt - s.rHat
-			s.scan.At(i).pointErr = h.pointErr
+			s.scan.At(i).pointErr = s.hist.At(i).rtt - s.rHat
 		}
 		// The revision rewrote point errors the local-rate argmin
 		// trackers may have cached; reload them from live history.
@@ -411,7 +416,7 @@ func (s *Sync) detectUpwardShift(res *Result) {
 		// The pair survives, but its quality is reassessed against the
 		// new error level (Section 6.2, "Asymmetry of offset and rate").
 		if s.havePair {
-			if _, qual, ok := s.pairEstimate(&s.pairJ, &s.pairI); ok {
+			if _, qual, ok := s.pairEstimate(&s.pairJ.record, &s.pairI.record); ok {
 				s.pQual = qual
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"repro/internal/netem"
 	"repro/internal/sim"
@@ -525,5 +526,20 @@ func BenchmarkProcessSimTrace(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// TestHistoryFootprint pins the bytes the engine keeps per packet of
+// its top window: the history record (stamps and RTT, 40 B) and the
+// offset filter's scan entry (24 B), the only copy of the point error
+// and naive offset. A field added to either multiplies by the window
+// (~one week of packets per upstream at the paper's settings), so a
+// change here should be a deliberate one.
+func TestHistoryFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(record{}); got != 40 {
+		t.Errorf("sizeof(record) = %d B, want 40", got)
+	}
+	if got := unsafe.Sizeof(scanRec{}); got != 24 {
+		t.Errorf("sizeof(scanRec) = %d B, want 24", got)
 	}
 }

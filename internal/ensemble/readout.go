@@ -415,7 +415,7 @@ func (e *Ensemble) Readout() *Readout { return e.pub.Load() }
 // allocations (the Readout and its Servers slice) in exchange for a
 // reader pinning at most one slab's worth of history (~pubSlabSize
 // combines) while it holds an old snapshot.
-const pubSlabSize = 256
+const pubSlabSize = 64
 
 // ensemblePub is the atomic publication slot plus the writer-owned
 // slabs publication slots are carved from. nextSlot is called only by

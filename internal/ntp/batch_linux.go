@@ -50,10 +50,11 @@ const (
 	batchDefault = 32
 	batchMax     = 64
 
-	// rxBufSize matches the per-packet loop's read buffer: large
-	// enough for any NTP packet with extensions, truncation beyond it
-	// is harmless (only the first 48 bytes are parsed).
-	rxBufSize = 512
+	// rxBufSize is one receive slot: the 48-byte header, the only
+	// bytes handlePacket parses. The kernel silently truncates a longer
+	// datagram (extension fields, padding) to the slot and reports the
+	// copied length, so it is answered exactly like a bare header.
+	rxBufSize = PacketSize
 
 	// oobSize holds one scm_timestamping control message (16-byte
 	// cmsghdr + three timespecs = 64 bytes) with room for one more
@@ -136,10 +137,10 @@ type batchLoop struct {
 	stamping   bool // SO_TIMESTAMPING RX armed on the socket
 	txStamping bool // SOF_TIMESTAMPING_TX_SOFTWARE armed (ServerConfig.TxStamp)
 
-	pktIn  []byte                   // batch × rxBufSize receive slab
-	pktOut []byte                   // batch × PacketSize reply slab
-	names  []syscall.RawSockaddrAny // kernel-written packet sources
-	oob    []byte                   // batch × oobSize control slab
+	pktIn  []byte                     // batch × rxBufSize receive slab
+	pktOut []byte                     // batch × PacketSize reply slab
+	names  []syscall.RawSockaddrInet6 // packet sources; sockaddr_in6 is the largest a UDP socket reports
+	oob    []byte                     // batch × oobSize control slab
 	riovs  []syscall.Iovec
 	rmsgs  []mmsghdr
 	siovs  []syscall.Iovec
@@ -240,7 +241,7 @@ func newBatchLoop(s *Server, rc syscall.RawConn, batch int) *batchLoop {
 		batch:  batch,
 		pktIn:  make([]byte, batch*rxBufSize),
 		pktOut: make([]byte, batch*PacketSize),
-		names:  make([]syscall.RawSockaddrAny, batch),
+		names:  make([]syscall.RawSockaddrInet6, batch),
 		oob:    make([]byte, batch*oobSize),
 		riovs:  make([]syscall.Iovec, batch),
 		rmsgs:  make([]mmsghdr, batch),
@@ -573,7 +574,7 @@ func (bl *batchLoop) resetErrHeaders() {
 //repro:hotpath
 func (bl *batchLoop) resetHeaders(n int) {
 	for i := 0; i < n; i++ {
-		bl.rmsgs[i].hdr.Namelen = syscall.SizeofSockaddrAny
+		bl.rmsgs[i].hdr.Namelen = syscall.SizeofSockaddrInet6
 		bl.rmsgs[i].hdr.Controllen = oobSize
 		bl.rmsgs[i].hdr.Flags = 0
 	}
@@ -587,13 +588,12 @@ func (bl *batchLoop) resetHeaders(n int) {
 //repro:hotpath
 func (bl *batchLoop) prefixKey(i int) (uint64, bool) {
 	sa := &bl.names[i]
-	switch sa.Addr.Family {
+	switch sa.Family {
 	case syscall.AF_INET:
 		sa4 := (*syscall.RawSockaddrInet4)(unsafe.Pointer(sa))
 		return ratelimit.PrefixKey4(sa4.Addr), true
 	case syscall.AF_INET6:
-		sa6 := (*syscall.RawSockaddrInet6)(unsafe.Pointer(sa))
-		return ratelimit.PrefixKey16(&sa6.Addr), true
+		return ratelimit.PrefixKey16(&sa.Addr), true
 	}
 	return 0, false
 }

@@ -102,7 +102,7 @@ func newTestBatchLoop(t *testing.T, s *Server, n int) *batchLoop {
 		batch:  n,
 		pktIn:  make([]byte, n*rxBufSize),
 		pktOut: make([]byte, n*PacketSize),
-		names:  make([]syscall.RawSockaddrAny, n),
+		names:  make([]syscall.RawSockaddrInet6, n),
 		oob:    make([]byte, n*oobSize),
 		riovs:  make([]syscall.Iovec, n),
 		rmsgs:  make([]mmsghdr, n),
@@ -342,5 +342,73 @@ func TestBatchForcedOff(t *testing.T) {
 	}
 	if st.KernelRx+st.KernelRxMissing != 0 {
 		t.Errorf("per-packet loop counted kernel stamps: %+v", st)
+	}
+}
+
+// TestBatchTruncatedRequests pins that sizing the receive slots to the
+// 48-byte header is harmless. Over a real socket and the batched loop,
+// requests carrying 464 and 1152 bytes past the header (extension
+// fields, padding) are truncated by the kernel to their header and
+// answered exactly like the bare header: the replies match byte for
+// byte outside Receive, which each kernel RX stamp backdates
+// separately. None counts as Short or Malformed; an oversized
+// version-0 datagram still counts as Malformed.
+func TestBatchTruncatedRequests(t *testing.T) {
+	fixed := Time64FromTime(time.Unix(1_700_000_000, 0))
+	srv, err := NewServer(ServerConfig{Clock: func() Time64 { return fixed }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() { defer close(done); _ = srv.Serve(pc) }()
+	defer func() { pc.Close(); <-done }()
+
+	header := clientPacket(4)
+	padded := func(size int, hdr []byte) []byte {
+		b := make([]byte, size)
+		copy(b, hdr)
+		for i := PacketSize; i < size; i++ {
+			b[i] = 0xA5
+		}
+		return b
+	}
+	// The Receive stamp: bytes 32–39 of the reply.
+	const recvOff, recvEnd = 32, 40
+	want := rawQuery(t, pc.LocalAddr(), header, true)
+	for _, size := range []int{512, 1200} {
+		got := rawQuery(t, pc.LocalAddr(), padded(size, header), true)
+		if len(got) != len(want) {
+			t.Fatalf("%d-byte request: %d-byte reply, want %d", size, len(got), len(want))
+		}
+		for i := range got {
+			if (i < recvOff || i >= recvEnd) && got[i] != want[i] {
+				t.Errorf("%d-byte request: reply byte %d = %#x, want %#x as for the 48-byte request", size, i, got[i], want[i])
+			}
+		}
+	}
+
+	v0 := padded(1200, clientPacket(0))
+	rawQuery(t, pc.LocalAddr(), v0, false)
+
+	var st Stats
+	for deadline := time.Now().Add(2 * time.Second); ; {
+		st = srv.Stats()
+		if st.Replied == 3 && st.Malformed == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stats = %+v, want Replied=3 Malformed=1", st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st.Short != 0 || st.Malformed != 1 {
+		t.Errorf("drop counters = %+v, want Short=0 Malformed=1 (the version-0 datagram only)", st)
+	}
+	if st.KernelRx+st.KernelRxMissing != st.Requests {
+		t.Errorf("stats = %+v: every request must pass through the batched loop (it counts kernel stamps)", st)
 	}
 }

@@ -50,12 +50,14 @@ func BenchmarkServeLoopback(b *testing.B) {
 // bare benchmark at the same shard count is the instrumentation tax
 // recorded in PERF.md; the budget is generous enough (Rate 1e9) that
 // no benchmark packet is ever denied, so both benchmarks count the
-// same work per reply.
+// same work per reply. The batch dimension covers both limiter paths:
+// batch=1 keys off the boxed net.Addr (Limiter.AllowAddr), batch=32
+// off the raw sockaddr the kernel wrote (PrefixKey4/PrefixKey16).
 func BenchmarkServeLoopbackLimited(b *testing.B) {
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+	for _, dim := range []struct{ shards, batch int }{{1, 1}, {4, 1}, {1, 32}, {4, 32}} {
+		b.Run(fmt.Sprintf("shards=%d/batch=%d", dim.shards, dim.batch), func(b *testing.B) {
 			limit := ratelimit.New(ratelimit.Config{Rate: 1e9, Burst: 1e9})
-			benchServeLoopback(b, ServerConfig{Clock: SystemServerClock(), Limit: limit, Batch: 1}, shards)
+			benchServeLoopback(b, ServerConfig{Clock: SystemServerClock(), Limit: limit, Batch: dim.batch}, dim.shards)
 		})
 	}
 }

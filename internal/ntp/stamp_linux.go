@@ -177,7 +177,7 @@ type kernelStamps struct {
 	// fixed buffers, plus the closure passed to RawConn.Control
 	// (created once — a closure per exchange would allocate). Inputs
 	// and results cross the Control callback through the struct.
-	epkt  [rxBufSize]byte
+	epkt  [errBufSize]byte
 	eoob  [errOobSize]byte
 	eiov  syscall.Iovec
 	emsg  syscall.Msghdr
